@@ -13,7 +13,7 @@
 //! packing order ([`AppliedLayout::packed`]), or a plan applied by the
 //! allocator simulator ([`AppliedLayout::from_placement`]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use orp_allocsim::{ObjectExtent, PlannedPlacement};
 use orp_core::{GroupId, ObjectRecord, ObjectSerial, OrTuple};
@@ -24,8 +24,28 @@ use crate::Hierarchy;
 /// A whole-object identity.
 pub type ObjectKey = (GroupId, ObjectSerial);
 
+/// One group's share of a layout.
+#[derive(Debug, Clone, Default)]
+struct GroupTable {
+    /// Indexed by serial: the object's base address, `None` when the
+    /// layout does not place it.
+    bases: Vec<Option<u64>>,
+    /// `(old offset, new offset)` pairs sorted by old offset; empty
+    /// when the group keeps its field order.
+    remap: Vec<(u64, u64)>,
+}
+
 /// A synthetic data layout: object placements plus per-group field
 /// remaps.
+///
+/// The layout lives in dense tables built once: one per group, indexed
+/// by group id, each holding its objects' bases indexed by serial and
+/// the group's field remap. A replayed tuple therefore costs two
+/// bounds-checked indexings and, only in a reordered group, a binary
+/// search over the group's hot offsets — no hashing. Table sizes follow
+/// the largest group id and serial placed (a field remap never grows
+/// them); the OMC hands both out densely from zero, so the tables are
+/// as large as the object inventory.
 ///
 /// # Examples
 ///
@@ -47,9 +67,10 @@ pub type ObjectKey = (GroupId, ObjectSerial);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AppliedLayout {
-    bases: HashMap<ObjectKey, u64>,
-    sizes: HashMap<ObjectKey, u64>,
-    field_maps: HashMap<GroupId, HashMap<u64, u64>>,
+    /// Indexed by group id.
+    groups: Vec<GroupTable>,
+    /// Number of placed objects.
+    placed: usize,
 }
 
 impl AppliedLayout {
@@ -57,12 +78,11 @@ impl AppliedLayout {
     /// recorded base address.
     #[must_use]
     pub fn original(objects: &[ObjectRecord]) -> Self {
-        let mut plan = AppliedLayout::default();
+        let mut layout = AppliedLayout::default();
         for o in objects {
-            plan.bases.insert((o.group, o.serial), o.base);
-            plan.sizes.insert((o.group, o.serial), o.size);
+            layout.place((o.group, o.serial), o.base);
         }
-        plan
+        layout
     }
 
     /// Packs the given objects contiguously (8-byte aligned) in the
@@ -74,39 +94,30 @@ impl AppliedLayout {
     /// traversal order for cache-conscious placement.
     #[must_use]
     pub fn packed(objects: &[ObjectRecord], order: &[ObjectKey], base: u64) -> Self {
-        let mut plan = AppliedLayout::default();
-        let sizes: HashMap<ObjectKey, u64> = objects
+        let sizes: BTreeMap<ObjectKey, u64> = objects
             .iter()
             .map(|o| ((o.group, o.serial), o.size))
             .collect();
+        let mut layout = AppliedLayout::default();
         let mut cursor = base;
-        let mut placed: BTreeSet<ObjectKey> = BTreeSet::new();
-        let place = |key: ObjectKey,
-                     cursor: &mut u64,
-                     plan: &mut AppliedLayout,
-                     placed: &mut BTreeSet<ObjectKey>| {
-            if placed.contains(&key) {
-                return;
+        let record_order = objects.iter().map(|o| (o.group, o.serial));
+        for key in order.iter().copied().chain(record_order) {
+            if layout.base_of(key).is_some() {
+                continue;
             }
-            let Some(&size) = sizes.get(&key) else { return };
-            plan.bases.insert(key, *cursor);
-            plan.sizes.insert(key, size);
-            *cursor += size.max(1).div_ceil(8) * 8;
-            placed.insert(key);
-        };
-        for &key in order {
-            place(key, &mut cursor, &mut plan, &mut placed);
+            let Some(&size) = sizes.get(&key) else {
+                continue;
+            };
+            layout.place(key, cursor);
+            cursor += size.max(1).div_ceil(8) * 8;
         }
-        for o in objects {
-            place((o.group, o.serial), &mut cursor, &mut plan, &mut placed);
-        }
-        plan
+        layout
     }
 
     /// Builds the layout a [`LayoutPlan`](orp_opt::LayoutPlan)
     /// produced: object bases come from the applier's
-    /// [`PlannedPlacement`], sizes from the profiled `objects`, and the
-    /// plan's `FieldReorder` transforms become field remaps.
+    /// [`PlannedPlacement`], and the plan's `FieldReorder` transforms
+    /// become field remaps.
     ///
     /// This is the bridge between the plan pipeline's apply stage
     /// ([`orp_allocsim::apply_plan`]) and its re-simulate stage
@@ -121,8 +132,7 @@ impl AppliedLayout {
         for o in objects {
             let key = (o.group, o.serial);
             if let Some(base) = placement.address_of(key) {
-                layout.bases.insert(key, base);
-                layout.sizes.entry(key).or_insert(o.size);
+                layout.place(key, base);
             }
         }
         let reordered: BTreeSet<GroupId> = plan
@@ -141,36 +151,70 @@ impl AppliedLayout {
         layout
     }
 
+    /// Places one object at `base`; a repeated key moves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the serial cannot index memory (only possible on
+    /// targets narrower than 64 bits).
+    fn place(&mut self, (group, serial): ObjectKey, base: u64) {
+        let (g, serial) = (
+            group.0 as usize,
+            usize::try_from(serial.0).expect("object serial indexes a dense table"),
+        );
+        if self.groups.len() <= g {
+            self.groups.resize_with(g + 1, GroupTable::default);
+        }
+        let bases = &mut self.groups[g].bases;
+        if bases.len() <= serial {
+            bases.resize(serial + 1, None);
+        }
+        if bases[serial].replace(base).is_none() {
+            self.placed += 1;
+        }
+    }
+
+    fn base_of(&self, (group, serial): ObjectKey) -> Option<u64> {
+        let table = self.groups.get(group.0 as usize)?;
+        *table.bases.get(usize::try_from(serial.0).ok()?)?
+    }
+
     /// Adds a field remap for `group`: the offsets in `hot_order` are
     /// compacted to the front of the object (8 bytes apart, in the
     /// given order); unlisted offsets keep their original positions
-    /// shifted past the hot prefix when they would collide.
+    /// shifted past the hot prefix when they would collide. A group
+    /// with no placed object has nothing to remap.
     pub fn set_field_order(&mut self, group: GroupId, hot_order: &[u64]) {
-        let map: HashMap<u64, u64> = hot_order
+        let Some(table) = self.groups.get_mut(group.0 as usize) else {
+            return;
+        };
+        // A repeated offset takes its last position.
+        let remap: BTreeMap<u64, u64> = hot_order
             .iter()
             .enumerate()
             .map(|(i, &off)| (off, i as u64 * 8))
             .collect();
-        self.field_maps.insert(group, map);
+        table.remap = remap.into_iter().collect();
     }
 
     /// The synthetic address of one access under this plan, or `None`
     /// for objects the plan does not place.
+    #[inline]
     #[must_use]
     pub fn address_of(&self, t: &OrTuple) -> Option<u64> {
-        let base = *self.bases.get(&(t.group, t.object))?;
-        let offset = self
-            .field_maps
-            .get(&t.group)
-            .and_then(|m| m.get(&t.offset).copied())
-            .unwrap_or(t.offset);
+        let table = self.groups.get(t.group.0 as usize)?;
+        let base = (*table.bases.get(usize::try_from(t.object.0).ok()?)?)?;
+        let offset = match table.remap.binary_search_by_key(&t.offset, |&(old, _)| old) {
+            Ok(i) => table.remap[i].1,
+            Err(_) => t.offset,
+        };
         Some(base + offset)
     }
 
     /// Number of objects the plan places.
     #[must_use]
     pub fn placed(&self) -> usize {
-        self.bases.len()
+        self.placed
     }
 
     /// Replays a tuple stream through a cache hierarchy under this

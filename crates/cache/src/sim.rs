@@ -42,13 +42,20 @@ impl CacheStats {
 
 /// One LRU set-associative cache level.
 ///
-/// Tags are whole line numbers; each set is a small recency-ordered
-/// vector (most recent first) — exact LRU, fine at simulation scale.
+/// Tags are whole line numbers. All sets live in one flat
+/// `sets × ways` array: set `s` owns `slots[s * ways..][..ways]`, of
+/// which the first `lens[s]` slots are resident, most recently used
+/// first — exact LRU, with a hit or fill rotating the slots ahead of
+/// the touched one back by a single position.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per set: resident line numbers, most recently used first.
-    sets: Vec<Vec<u64>>,
+    /// `log2(line_bytes)`: byte address to line number is a shift.
+    line_shift: u32,
+    /// Resident line numbers, `ways` slots per set, MRU first.
+    slots: Vec<u64>,
+    /// Resident lines per set (`<= ways`).
+    lens: Vec<usize>,
     stats: CacheStats,
 }
 
@@ -72,7 +79,9 @@ impl Cache {
         assert!(config.ways > 0, "associativity must be positive");
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); config.sets],
+            line_shift: config.line_bytes.trailing_zeros(),
+            slots: vec![0; config.sets * config.ways],
+            lens: vec![0; config.sets],
             stats: CacheStats::default(),
         }
     }
@@ -89,27 +98,35 @@ impl Cache {
         self.stats
     }
 
+    /// The line number containing byte address `addr`.
+    #[inline]
+    fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
     /// Presents the line containing `addr`; returns `true` on a hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.config.line_bytes;
-        self.access_line(line)
+        self.access_line(self.line_of(addr))
     }
 
     /// Presents a whole line number; returns `true` on a hit.
+    #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
         self.stats.accesses += 1;
-        let set = &mut self.sets[(line as usize) & (self.config.sets - 1)];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
+        let ways = self.config.ways;
+        let set = (line as usize) & (self.config.sets - 1);
+        let len = &mut self.lens[set];
+        let slots = &mut self.slots[set * ways..][..ways];
+        if let Some(pos) = slots[..*len].iter().position(|&l| l == line) {
             // Move to MRU position.
-            let l = set.remove(pos);
-            set.insert(0, l);
+            slots[..=pos].rotate_right(1);
             true
         } else {
             self.stats.misses += 1;
-            if set.len() == self.config.ways {
-                set.pop(); // evict LRU
-            }
-            set.insert(0, line);
+            // A full set recycles its LRU slot; otherwise the set grows.
+            *len = (*len + 1).min(ways);
+            slots[..*len].rotate_right(1);
+            slots[0] = line;
             false
         }
     }
@@ -155,9 +172,8 @@ impl Hierarchy {
     /// Presents one byte-addressed access of `size` bytes, touching
     /// every line the range covers.
     pub fn access_range(&mut self, addr: u64, size: u64) {
-        let line_bytes = self.l1.config().line_bytes;
-        let first = addr / line_bytes;
-        let last = (addr + size.max(1) - 1) / line_bytes;
+        let first = self.l1.line_of(addr);
+        let last = self.l1.line_of(addr + size.max(1) - 1);
         for line in first..=last {
             if !self.l1.access_line(line) {
                 self.l2.access_line(line);

@@ -7,19 +7,31 @@
 //! paper's "object clustering or global variable re-mapping" use case
 //! for the object-level grammar).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use orp_core::{GroupId, ObjectSerial, OrSink, OrTuple};
 
+use crate::{FxMap, FxSet};
+
+/// One group's counters.
+#[derive(Debug, Clone, Default)]
+struct GroupCounts {
+    /// The group's most recently accessed object.
+    last: ObjectSerial,
+    /// Access counts per serial.
+    heat: FxMap<u64, u64>,
+    /// (lo serial, hi serial) → transition count.
+    affinity: FxMap<(u64, u64), u64>,
+}
+
 /// Per-group object-affinity counts and co-allocation suggestions.
+///
+/// Counting is hash-only — per tuple one group lookup, one heat and at
+/// most one affinity increment; every query that depends on order
+/// sorts its group's counters once.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterAnalysis {
-    /// (group, lo serial, hi serial) → transition count.
-    affinity: BTreeMap<(GroupId, u64, u64), u64>,
-    /// Last object accessed per group.
-    last: HashMap<GroupId, ObjectSerial>,
-    /// Access counts per (group, object).
-    heat: BTreeMap<(GroupId, u64), u64>,
+    groups: FxMap<GroupId, GroupCounts>,
 }
 
 impl ClusterAnalysis {
@@ -34,13 +46,21 @@ impl ClusterAnalysis {
     #[must_use]
     pub fn affinity(&self, group: GroupId, a: ObjectSerial, b: ObjectSerial) -> u64 {
         let (lo, hi) = (a.0.min(b.0), a.0.max(b.0));
-        self.affinity.get(&(group, lo, hi)).copied().unwrap_or(0)
+        self.groups
+            .get(&group)
+            .and_then(|g| g.affinity.get(&(lo, hi)))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Total accesses to one object.
     #[must_use]
     pub fn heat(&self, group: GroupId, object: ObjectSerial) -> u64 {
-        self.heat.get(&(group, object.0)).copied().unwrap_or(0)
+        self.groups
+            .get(&group)
+            .and_then(|g| g.heat.get(&object.0))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The strongest `k` co-allocation pairs of a group, hottest first.
@@ -50,20 +70,25 @@ impl ClusterAnalysis {
     #[must_use]
     pub fn top_pairs(&self, group: GroupId, k: usize) -> Vec<(ObjectSerial, ObjectSerial, u64)> {
         let mut pairs: Vec<(ObjectSerial, ObjectSerial, u64)> = self
-            .affinity
-            .range((group, 0, 0)..=(group, u64::MAX, u64::MAX))
-            .map(|(&(_, a, b), &w)| (ObjectSerial(a), ObjectSerial(b), w))
-            .collect();
-        pairs.sort_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
+            .groups
+            .get(&group)
+            .map(|g| {
+                g.affinity
+                    .iter()
+                    .map(|(&(a, b), &w)| (ObjectSerial(a), ObjectSerial(b), w))
+                    .collect()
+            })
+            .unwrap_or_default();
+        pairs.sort_unstable_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
         pairs.truncate(k);
         pairs
     }
 
-    /// Groups with at least one observed access.
+    /// Groups with at least one observed access, ascending.
     #[must_use]
     pub fn groups(&self) -> Vec<GroupId> {
-        let mut gs: Vec<GroupId> = self.heat.keys().map(|&(g, _)| g).collect();
-        gs.dedup(); // heat is sorted by (group, serial)
+        let mut gs: Vec<GroupId> = self.groups.keys().copied().collect();
+        gs.sort_unstable();
         gs
     }
 
@@ -71,10 +96,9 @@ impl ClusterAnalysis {
     /// co-location of the whole group could exploit.
     #[must_use]
     pub fn total_affinity(&self, group: GroupId) -> u64 {
-        self.affinity
-            .range((group, 0, 0)..=(group, u64::MAX, u64::MAX))
-            .map(|(_, &w)| w)
-            .sum()
+        self.groups
+            .get(&group)
+            .map_or(0, |g| g.affinity.values().sum())
     }
 
     /// Like [`ClusterAnalysis::suggest_clusters`], but each cluster's
@@ -91,12 +115,12 @@ impl ClusterAnalysis {
         cluster_size: usize,
     ) -> Vec<(Vec<ObjectSerial>, u64)> {
         assert!(cluster_size >= 2, "ordered clusters pair objects");
-        let mut degree: HashMap<u64, usize> = HashMap::new();
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        let mut size: HashMap<u64, usize> = HashMap::new();
-        let mut weight: HashMap<u64, u64> = HashMap::new();
-        let mut adj: HashMap<u64, Vec<u64>> = HashMap::new();
-        fn find(parent: &mut HashMap<u64, u64>, x: u64) -> u64 {
+        let mut degree: FxMap<u64, usize> = FxMap::default();
+        let mut parent: FxMap<u64, u64> = FxMap::default();
+        let mut size: FxMap<u64, usize> = FxMap::default();
+        let mut weight: FxMap<u64, u64> = FxMap::default();
+        let mut adj: FxMap<u64, Vec<u64>> = FxMap::default();
+        fn find(parent: &mut FxMap<u64, u64>, x: u64) -> u64 {
             let p = *parent.entry(x).or_insert(x);
             if p == x {
                 x
@@ -142,7 +166,7 @@ impl ClusterAnalysis {
         // Every component is a path: walk each from its
         // lowest-numbered endpoint.
         let mut out: Vec<(Vec<ObjectSerial>, u64)> = Vec::new();
-        let mut visited: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+        let mut visited: FxSet<u64> = FxSet::default();
         let mut starts: Vec<u64> = degree
             .iter()
             .filter(|&(_, &d)| d == 1)
@@ -182,9 +206,9 @@ impl ClusterAnalysis {
     pub fn suggest_clusters(&self, group: GroupId, cluster_size: usize) -> Vec<Vec<ObjectSerial>> {
         assert!(cluster_size >= 1, "clusters must hold at least one object");
         // Union-find with size caps.
-        let mut parent: HashMap<u64, u64> = HashMap::new();
-        let mut size: HashMap<u64, usize> = HashMap::new();
-        fn find(parent: &mut HashMap<u64, u64>, x: u64) -> u64 {
+        let mut parent: FxMap<u64, u64> = FxMap::default();
+        let mut size: FxMap<u64, usize> = FxMap::default();
+        fn find(parent: &mut FxMap<u64, u64>, x: u64) -> u64 {
             let p = *parent.entry(x).or_insert(x);
             if p == x {
                 x
@@ -226,12 +250,15 @@ impl ClusterAnalysis {
 
 impl OrSink for ClusterAnalysis {
     fn tuple(&mut self, t: &OrTuple) {
-        *self.heat.entry((t.group, t.object.0)).or_default() += 1;
-        if let Some(prev) = self.last.insert(t.group, t.object) {
-            if prev != t.object {
-                let (lo, hi) = (prev.0.min(t.object.0), prev.0.max(t.object.0));
-                *self.affinity.entry((t.group, lo, hi)).or_default() += 1;
-            }
+        let g = self.groups.entry(t.group).or_insert_with(|| GroupCounts {
+            last: t.object,
+            ..GroupCounts::default()
+        });
+        *g.heat.entry(t.object.0).or_default() += 1;
+        if g.last != t.object {
+            let (lo, hi) = (g.last.0.min(t.object.0), g.last.0.max(t.object.0));
+            *g.affinity.entry((lo, hi)).or_default() += 1;
+            g.last = t.object;
         }
     }
 }

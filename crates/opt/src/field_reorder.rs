@@ -8,15 +8,27 @@
 //! offsets are accessed consecutively *within the same object*, and
 //! greedily chains the affinity graph into a suggested field order.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
 use orp_core::{GroupId, ObjectSerial, OrSink, OrTuple};
+
+use crate::{FxMap, FxSet};
+
+/// One group's counters.
+#[derive(Debug, Clone, Default)]
+struct GroupFields {
+    /// The group's most recent access: (object, offset).
+    last: Option<(ObjectSerial, u64)>,
+    /// Offsets seen.
+    offsets: FxSet<u64>,
+    /// (lo offset, hi offset) → consecutive-access count.
+    affinity: FxMap<(u64, u64), u64>,
+}
 
 /// Per-group field (offset) affinity counts and layout suggestions.
 ///
 /// Feed it the object-relative stream (it implements [`OrSink`]), then
 /// query [`FieldReorderAnalysis::affinity`] or
-/// [`FieldReorderAnalysis::suggest_layout`].
+/// [`FieldReorderAnalysis::suggest_layout`]. Counting is hash-only;
+/// queries that depend on order sort their group's counters once.
 ///
 /// # Examples
 ///
@@ -44,12 +56,7 @@ use orp_core::{GroupId, ObjectSerial, OrSink, OrTuple};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FieldReorderAnalysis {
-    /// (group, lo offset, hi offset) → consecutive-access count.
-    affinity: BTreeMap<(GroupId, u64, u64), u64>,
-    /// Offsets seen per group.
-    offsets: BTreeMap<GroupId, BTreeSet<u64>>,
-    /// Last access per group: (object, offset).
-    last: HashMap<GroupId, (ObjectSerial, u64)>,
+    groups: FxMap<GroupId, GroupFields>,
 }
 
 impl FieldReorderAnalysis {
@@ -64,32 +71,40 @@ impl FieldReorderAnalysis {
     #[must_use]
     pub fn affinity(&self, group: GroupId, a: u64, b: u64) -> u64 {
         let (lo, hi) = (a.min(b), a.max(b));
-        self.affinity.get(&(group, lo, hi)).copied().unwrap_or(0)
+        self.groups
+            .get(&group)
+            .and_then(|g| g.affinity.get(&(lo, hi)))
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// All offsets observed for a group.
+    /// All offsets observed for a group, ascending.
     #[must_use]
     pub fn offsets(&self, group: GroupId) -> Vec<u64> {
-        self.offsets
+        let mut offsets: Vec<u64> = self
+            .groups
             .get(&group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+            .map(|g| g.offsets.iter().copied().collect())
+            .unwrap_or_default();
+        offsets.sort_unstable();
+        offsets
     }
 
-    /// Groups with at least one affinity edge.
+    /// Groups with at least one observed access, ascending.
     #[must_use]
     pub fn groups(&self) -> Vec<GroupId> {
-        self.offsets.keys().copied().collect()
+        let mut gs: Vec<GroupId> = self.groups.keys().copied().collect();
+        gs.sort_unstable();
+        gs
     }
 
     /// Total offset-transition weight of a group — how much temporal
     /// field adjacency a reordering could exploit.
     #[must_use]
     pub fn total_affinity(&self, group: GroupId) -> u64 {
-        self.affinity
-            .range((group, 0, 0)..=(group, u64::MAX, u64::MAX))
-            .map(|(_, &w)| w)
-            .sum()
+        self.groups
+            .get(&group)
+            .map_or(0, |g| g.affinity.values().sum())
     }
 
     /// Suggests a field order for `group`: a greedy chain through the
@@ -107,17 +122,17 @@ impl FieldReorderAnalysis {
         }
         // Edges sorted by descending affinity.
         let mut edges: Vec<(u64, u64, u64)> = self
-            .affinity
-            .range((group, 0, 0)..=(group, u64::MAX, u64::MAX))
-            .map(|(&(_, a, b), &w)| (w, a, b))
-            .collect();
-        edges.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+            .groups
+            .get(&group)
+            .map(|g| g.affinity.iter().map(|(&(a, b), &w)| (w, a, b)).collect())
+            .unwrap_or_default();
+        edges.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
 
         // Greedy chain building: accept an edge when both endpoints
         // have degree < 2 and the edge does not close a cycle.
-        let mut degree: HashMap<u64, usize> = HashMap::new();
-        let mut parent: HashMap<u64, u64> = offsets.iter().map(|&o| (o, o)).collect();
-        fn find(parent: &mut HashMap<u64, u64>, x: u64) -> u64 {
+        let mut degree: FxMap<u64, usize> = FxMap::default();
+        let mut parent: FxMap<u64, u64> = offsets.iter().map(|&o| (o, o)).collect();
+        fn find(parent: &mut FxMap<u64, u64>, x: u64) -> u64 {
             let p = parent[&x];
             if p == x {
                 x
@@ -127,7 +142,7 @@ impl FieldReorderAnalysis {
                 root
             }
         }
-        let mut adj: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut adj: FxMap<u64, Vec<u64>> = FxMap::default();
         for (w, a, b) in edges {
             if w == 0 {
                 continue;
@@ -152,7 +167,7 @@ impl FieldReorderAnalysis {
 
         // Walk each chain from an endpoint; emit isolated offsets last.
         let mut out = Vec::with_capacity(offsets.len());
-        let mut visited: BTreeSet<u64> = BTreeSet::new();
+        let mut visited: FxSet<u64> = FxSet::default();
         let mut starts: Vec<u64> = offsets
             .iter()
             .copied()
@@ -195,11 +210,12 @@ impl FieldReorderAnalysis {
 
 impl OrSink for FieldReorderAnalysis {
     fn tuple(&mut self, t: &OrTuple) {
-        self.offsets.entry(t.group).or_default().insert(t.offset);
-        if let Some((obj, off)) = self.last.insert(t.group, (t.object, t.offset)) {
+        let g = self.groups.entry(t.group).or_default();
+        g.offsets.insert(t.offset);
+        if let Some((obj, off)) = g.last.replace((t.object, t.offset)) {
             if obj == t.object && off != t.offset {
                 let (lo, hi) = (off.min(t.offset), off.max(t.offset));
-                *self.affinity.entry((t.group, lo, hi)).or_default() += 1;
+                *g.affinity.entry((lo, hi)).or_default() += 1;
             }
         }
     }

@@ -51,3 +51,9 @@ pub use hot_streams::{hot_streams, HotStream};
 pub use plan::{LayoutPlan, ObjectKey, Transform, TransformKind};
 pub use remap::RemapAnalysis;
 pub use tier::TieringAdvisor;
+
+/// Hash containers for the advisers' counters: keyed by
+/// profiler-internal ids and updated once per tuple, so they use the
+/// fast non-keyed hasher instead of SipHash.
+type FxMap<K, V> = std::collections::HashMap<K, V, orp_sequitur::FxBuildHasher>;
+type FxSet<T> = std::collections::HashSet<T, orp_sequitur::FxBuildHasher>;

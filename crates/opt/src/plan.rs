@@ -196,7 +196,7 @@ impl LayoutPlan {
     /// [`Transform::metric_label`], suffixed `.N` on repeats.
     #[must_use]
     pub fn labels(&self) -> Vec<String> {
-        let mut seen: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+        let mut seen: crate::FxMap<String, usize> = crate::FxMap::default();
         self.transforms
             .iter()
             .map(|t| {

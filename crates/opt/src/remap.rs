@@ -9,21 +9,24 @@
 //! chains them into a suggested placement order, so globals that are
 //! used together become neighbors in the data segment.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
 use orp_core::{OrSink, OrTuple};
+
+use crate::{FxMap, FxSet};
 
 /// A whole-object identity (group + serial), the granularity of
 /// re-mapping (re-exported from the plan IR).
 pub use crate::plan::ObjectKey;
 
 /// Cross-group object-transition counts and placement suggestions.
+///
+/// Counting is hash-only; [`RemapAnalysis::objects`] and
+/// [`RemapAnalysis::suggest_order`] sort once per call.
 #[derive(Debug, Clone, Default)]
 pub struct RemapAnalysis {
     /// Unordered pair (lexicographically sorted) → transition count.
-    affinity: BTreeMap<(ObjectKey, ObjectKey), u64>,
+    affinity: FxMap<(ObjectKey, ObjectKey), u64>,
     /// Objects seen.
-    objects: BTreeSet<ObjectKey>,
+    objects: FxSet<ObjectKey>,
     /// Last object accessed, across all groups.
     last: Option<ObjectKey>,
 }
@@ -42,10 +45,12 @@ impl RemapAnalysis {
         self.affinity.get(&(lo, hi)).copied().unwrap_or(0)
     }
 
-    /// All objects observed.
+    /// All objects observed, ascending.
     #[must_use]
     pub fn objects(&self) -> Vec<ObjectKey> {
-        self.objects.iter().copied().collect()
+        let mut objects: Vec<ObjectKey> = self.objects.iter().copied().collect();
+        objects.sort_unstable();
+        objects
     }
 
     /// Total cross-object transition weight — the upper bound on what
@@ -69,11 +74,11 @@ impl RemapAnalysis {
             .iter()
             .map(|(&(a, b), &w)| (w, a, b))
             .collect();
-        edges.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
+        edges.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
 
-        let mut degree: HashMap<ObjectKey, usize> = HashMap::new();
-        let mut parent: HashMap<ObjectKey, ObjectKey> = objects.iter().map(|&o| (o, o)).collect();
-        fn find(parent: &mut HashMap<ObjectKey, ObjectKey>, x: ObjectKey) -> ObjectKey {
+        let mut degree: FxMap<ObjectKey, usize> = FxMap::default();
+        let mut parent: FxMap<ObjectKey, ObjectKey> = objects.iter().map(|&o| (o, o)).collect();
+        fn find(parent: &mut FxMap<ObjectKey, ObjectKey>, x: ObjectKey) -> ObjectKey {
             let p = parent[&x];
             if p == x {
                 x
@@ -83,7 +88,7 @@ impl RemapAnalysis {
                 root
             }
         }
-        let mut adj: HashMap<ObjectKey, Vec<ObjectKey>> = HashMap::new();
+        let mut adj: FxMap<ObjectKey, Vec<ObjectKey>> = FxMap::default();
         for (w, a, b) in edges {
             if w == 0 {
                 continue;
@@ -105,7 +110,7 @@ impl RemapAnalysis {
         }
 
         let mut out = Vec::with_capacity(objects.len());
-        let mut visited: BTreeSet<ObjectKey> = BTreeSet::new();
+        let mut visited: FxSet<ObjectKey> = FxSet::default();
         let starts: Vec<ObjectKey> = objects
             .iter()
             .copied()
@@ -141,16 +146,18 @@ impl RemapAnalysis {
 impl OrSink for RemapAnalysis {
     fn tuple(&mut self, t: &OrTuple) {
         let key = (t.group, t.object);
+        if self.last == Some(key) {
+            // A repeat is neither a new object nor a transition.
+            return;
+        }
         self.objects.insert(key);
         if let Some(prev) = self.last.replace(key) {
-            if prev != key {
-                let (lo, hi) = if prev <= key {
-                    (prev, key)
-                } else {
-                    (key, prev)
-                };
-                *self.affinity.entry((lo, hi)).or_default() += 1;
-            }
+            let (lo, hi) = if prev <= key {
+                (prev, key)
+            } else {
+                (key, prev)
+            };
+            *self.affinity.entry((lo, hi)).or_default() += 1;
         }
     }
 }

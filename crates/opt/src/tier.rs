@@ -9,7 +9,7 @@
 //! exactly what the object-relative grammar adds over a flat heat
 //! histogram.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use orp_core::{GroupId, ObjectSerial, OrSink, OrTuple};
 use orp_sequitur::Sequitur;
@@ -17,19 +17,26 @@ use orp_sequitur::Sequitur;
 use crate::advisor::LayoutAdvisor;
 use crate::hot_streams::hot_streams;
 use crate::plan::{Transform, TransformKind};
+use crate::FxMap;
 
 /// Default minimum hot-stream expansion length considered structural.
 pub const DEFAULT_MIN_STREAM_LEN: usize = 2;
 /// Default number of top streams per group whose members become hot.
 pub const DEFAULT_TOP_STREAMS: usize = 8;
 
+/// One group's state: its object-serial grammar and access counts.
+#[derive(Debug, Clone, Default)]
+struct TierGroup {
+    grammar: Sequitur,
+    /// Access counts per serial — scores the hot set.
+    heat: FxMap<u64, u64>,
+}
+
 /// Hot/cold tiering adviser: one Sequitur grammar per group over the
 /// object-serial dimension, mined with [`hot_streams`] at advise time.
 #[derive(Debug, Clone)]
 pub struct TieringAdvisor {
-    grammars: BTreeMap<GroupId, Sequitur>,
-    /// Access counts per (group, serial) — scores the hot set.
-    heat: BTreeMap<(GroupId, u64), u64>,
+    groups: FxMap<GroupId, TierGroup>,
     min_stream_len: usize,
     top_streams: usize,
 }
@@ -45,8 +52,7 @@ impl TieringAdvisor {
     #[must_use]
     pub fn new() -> Self {
         TieringAdvisor {
-            grammars: BTreeMap::new(),
-            heat: BTreeMap::new(),
+            groups: FxMap::default(),
             min_stream_len: DEFAULT_MIN_STREAM_LEN,
             top_streams: DEFAULT_TOP_STREAMS,
         }
@@ -67,10 +73,10 @@ impl TieringAdvisor {
     /// The hot serials of one group under the current profile.
     #[must_use]
     pub fn hot_set(&self, group: GroupId) -> BTreeSet<ObjectSerial> {
-        let Some(seq) = self.grammars.get(&group) else {
+        let Some(g) = self.groups.get(&group) else {
             return BTreeSet::new();
         };
-        let grammar = seq.grammar();
+        let grammar = g.grammar.grammar();
         hot_streams(&grammar, self.min_stream_len, self.top_streams)
             .into_iter()
             .flat_map(|s| s.expansion)
@@ -79,12 +85,15 @@ impl TieringAdvisor {
     }
 
     fn object_count(&self, group: GroupId) -> usize {
-        self.heat.range((group, 0)..=(group, u64::MAX)).count()
+        self.groups.get(&group).map_or(0, |g| g.heat.len())
     }
 
     fn hot_heat(&self, group: GroupId, hot: &BTreeSet<ObjectSerial>) -> u64 {
+        let Some(g) = self.groups.get(&group) else {
+            return 0;
+        };
         hot.iter()
-            .map(|s| self.heat.get(&(group, s.0)).copied().unwrap_or(0))
+            .map(|s| g.heat.get(&s.0).copied().unwrap_or(0))
             .sum()
     }
 }
@@ -98,8 +107,10 @@ impl LayoutAdvisor for TieringAdvisor {
     /// proper, nonempty subset of the group's objects; benefit is the
     /// accesses the hot set covers.
     fn advise(&self) -> Vec<Transform> {
+        let mut groups: Vec<GroupId> = self.groups.keys().copied().collect();
+        groups.sort_unstable();
         let mut out = Vec::new();
-        for &group in self.grammars.keys() {
+        for group in groups {
             let hot = self.hot_set(group);
             if hot.is_empty() || hot.len() >= self.object_count(group) {
                 // Nothing structural, or everything is hot — a split
@@ -125,8 +136,9 @@ impl LayoutAdvisor for TieringAdvisor {
 
 impl OrSink for TieringAdvisor {
     fn tuple(&mut self, t: &OrTuple) {
-        self.grammars.entry(t.group).or_default().push(t.object.0);
-        *self.heat.entry((t.group, t.object.0)).or_default() += 1;
+        let g = self.groups.entry(t.group).or_default();
+        g.grammar.push(t.object.0);
+        *g.heat.entry(t.object.0).or_default() += 1;
     }
 }
 

@@ -75,6 +75,10 @@ struct Shared {
     /// tenant is refused (`STATUS_BUSY`) so two writers can never race
     /// on one profile.
     active: Mutex<BTreeSet<String>>,
+    /// Connection threads not yet joined. The accept loop joins the
+    /// finished ones before adding a new one, so this holds the live
+    /// connections plus at most the ones that ended since the last
+    /// accept — not one handle per session ever served.
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -140,6 +144,13 @@ impl Daemon {
         &self.shared.config.socket
     }
 
+    /// Connection threads the daemon still holds a handle for: the
+    /// live ones plus any that finished since the last accept.
+    #[must_use]
+    pub fn tracked_connections(&self) -> usize {
+        lock(&self.shared.conns).len()
+    }
+
     /// Waits for the accept loop to exit (a shutdown handshake) and for
     /// every connection to drain.
     ///
@@ -186,9 +197,22 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) -> io::Result<()> 
             let shared = Arc::clone(shared);
             move || serve_connection(stream, &shared)
         });
-        lock(&shared.conns).push(handle);
+        let mut conns = lock(&shared.conns);
+        reap_finished(&mut conns);
+        conns.push(handle);
     }
     Ok(())
+}
+
+/// Joins (without blocking) every connection thread that has already
+/// returned, so a long-running daemon's handle list stays as long as
+/// its live connections.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    for done in conns.extract_if(.., |h| h.is_finished()) {
+        // As in `Daemon::join`, a connection's outcome is already in
+        // the stats; its join result adds nothing.
+        let _ = done.join();
+    }
 }
 
 fn write_ack(out: &mut UnixStream, status: u64, resumed: u64, credits: u64) -> io::Result<()> {

@@ -117,6 +117,38 @@ fn sixty_four_concurrent_tenants_finish_clean_and_byte_identical() {
 }
 
 #[test]
+fn finished_connections_are_reaped_across_many_sessions() {
+    // Each session's connection thread ends with its session; the
+    // daemon must not keep a join handle per session ever served.
+    let dir = tmp("reap");
+    let _ = std::fs::remove_dir_all(&dir);
+    let socket = dir.join("orpd.sock");
+    let daemon = Daemon::start(DaemonConfig::new(&socket, &dir)).expect("daemon starts");
+
+    let events = workload_events(8, 1);
+    let sessions = 300;
+    let mut most = 0;
+    for i in 0..sessions {
+        // Distinct tenants: a tenant stays busy until its connection
+        // thread has released it, which may trail the final ack.
+        let tenant = format!("churn-{i}");
+        let done = stream_tenant(&socket, &tenant, &events).expect("session streams");
+        assert_eq!(done.status, DONE_CLEAN);
+        most = most.max(daemon.tracked_connections());
+    }
+    assert!(
+        most <= 8,
+        "{most} connection handles held across {sessions} sequential sessions"
+    );
+    assert_eq!(
+        OrpdStats::get(&daemon.stats().sessions_finished),
+        sessions as u64
+    );
+    daemon.stop().expect("daemon drains");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_second_connection_for_a_live_tenant_is_refused() {
     let dir = tmp("busy");
     let _ = std::fs::remove_dir_all(&dir);

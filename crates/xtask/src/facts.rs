@@ -254,12 +254,20 @@ pub fn is_test_tree(rel: &str) -> bool {
     rel.contains("/tests/") || rel.contains("/benches/") || rel.contains("/examples/")
 }
 
-/// Grammar-construction hot paths: every push runs one to three digram
-/// map operations, so these crates must not construct maps with the
-/// default (SipHash) hasher.
+/// Per-event hot paths, which must not construct maps with the default
+/// (SipHash) hasher: grammar construction (every push runs one to three
+/// digram map operations) and the optimize loop (the advisers count
+/// every tuple; the cache replays the stream once per transform).
 #[must_use]
-pub fn is_grammar_hot_path(rel: &str) -> bool {
-    rel.starts_with("crates/sequitur/src/") || rel.starts_with("crates/whomp/src/")
+pub fn is_hash_hot_path(rel: &str) -> bool {
+    [
+        "crates/sequitur/src/",
+        "crates/whomp/src/",
+        "crates/cache/src/",
+        "crates/opt/src/",
+    ]
+    .iter()
+    .any(|prefix| rel.starts_with(prefix))
 }
 
 /// Crate roots that must carry `#![forbid(unsafe_code)]`: `lib.rs` /

@@ -41,8 +41,8 @@
 //!   leaves a torn file. Writes go through `orp_format::AtomicFile` /
 //!   `write_bytes_atomic` (the primitive's own crate and this tooling
 //!   crate are exempt).
-//! * **no-siphash-in-hot-paths** — the grammar crates
-//!   (`crates/sequitur/src/**`, `crates/whomp/src/**`) must not build
+//! * **no-siphash-in-hot-paths** — the grammar and optimize-loop
+//!   crates (`crates/{sequitur,whomp,cache,opt}/src/**`) must not build
 //!   `HashMap`/`HashSet` with the default SipHash hasher
 //!   (`::new`/`::with_capacity`): hot-path maps annotate
 //!   `FxBuildHasher` and construct through `::default()`.

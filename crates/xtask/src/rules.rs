@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::facts::{
-    is_crate_root, is_decode_path, is_first_party, is_grammar_hot_path, is_test_tree, FileFacts,
+    is_crate_root, is_decode_path, is_first_party, is_hash_hot_path, is_test_tree, FileFacts,
     WorkspaceFacts,
 };
 use crate::lexer::Kind;
@@ -184,7 +184,7 @@ pub fn check_file_facts(facts: &FileFacts, allowlist: &Allowlist) -> Vec<Diagnos
     {
         atomic_artifact_writes(&mut cx);
     }
-    if is_grammar_hot_path(rel_s)
+    if is_hash_hot_path(rel_s)
         && !is_test_tree(rel_s)
         && !allowlist.exempts("no-siphash-in-hot-paths", rel)
     {
@@ -587,12 +587,13 @@ fn atomic_artifact_writes(cx: &mut RuleCx<'_>) {
     }
 }
 
-/// `no-siphash-in-hot-paths`: grammar crates must not build hash maps
-/// with the default hasher.
+/// `no-siphash-in-hot-paths`: the grammar and optimize-loop crates must
+/// not build hash maps with the default hasher.
 ///
 /// `HashMap::new()` / `with_capacity()` are only defined for
 /// `RandomState` (SipHash-1-3), which profiling showed dominating the
-/// per-symbol cost of grammar construction (DESIGN.md §13). Hot-path
+/// per-symbol cost of grammar construction (DESIGN.md §13) and the
+/// per-tuple cost of the optimize loop (DESIGN.md §14). Hot-path
 /// maps spell an explicit hasher in the type and construct through
 /// `HashMap::default()` — like `sequitur`'s `DigramMap` with
 /// `FxBuildHasher` — so the fast hasher cannot silently regress back
@@ -617,7 +618,7 @@ fn no_siphash_in_hot_paths(cx: &mut RuleCx<'_>) {
                 t.line,
                 format!(
                     "{}::{callee} pins the default SipHash hasher in a \
-                     grammar hot path — annotate the map type with \
+                     hot path — annotate the map type with \
                      FxBuildHasher (see orp_sequitur::FxBuildHasher) and \
                      construct with ::default(), or mark \
                      `// analyze: allow(no-siphash-in-hot-paths): <why>`",

@@ -204,14 +204,31 @@ fn no_siphash_flags_default_hasher_maps_in_grammar_crates() {
 }
 
 #[test]
-fn no_siphash_only_polices_grammar_hot_paths() {
+fn no_siphash_flags_default_hasher_maps_in_optimize_loop_crates() {
+    for pretend in [
+        "crates/opt/src/seeded_siphash.rs",
+        "crates/cache/src/seeded_siphash.rs",
+    ] {
+        let diags = run(pretend, "siphash_opt.rs");
+        assert_eq!(
+            lines_of(&diags, "no-siphash-in-hot-paths"),
+            vec![16, 21, 21],
+            "HashMap::new, HashMap::with_capacity and HashSet::new — not \
+             BTreeMap::new or an Fx-annotated collect ({pretend}): {diags:#?}"
+        );
+    }
+}
+
+#[test]
+fn no_siphash_only_polices_hot_paths() {
     // The same source elsewhere (the CLI builds plenty of SipHash maps
-    // off the hot path) is out of scope; so are the grammar crates'
+    // off the hot path) is out of scope; so are the hot-path crates'
     // own integration tests.
     for pretend in [
         "src/bin/orprof-cli.rs",
         "crates/core/src/omc.rs",
         "crates/sequitur/tests/seeded_siphash.rs",
+        "crates/opt/tests/seeded_siphash.rs",
     ] {
         let diags = run(pretend, "siphash.rs");
         assert!(
