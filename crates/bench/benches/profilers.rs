@@ -11,6 +11,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
+use orp_bench::InlineOmsg;
 use orp_core::sharded::ShardedCdc;
 use orp_core::threaded::ThreadedCdc;
 use orp_core::{Cdc, Omc, Timestamp};
@@ -19,7 +20,7 @@ use orp_lmad::LinearCompressor;
 use orp_obs::NoopRecorder;
 use orp_sequitur::{FxBuildHasher, Sequitur};
 use orp_trace::{AllocSiteId, InstrId, NullSink, ProbeSink};
-use orp_whomp::{HybridProfiler, PipelinedWhomp, RasgProfiler, WhompProfiler};
+use orp_whomp::{HybridProfiler, RasgProfiler, WhompProfiler};
 use orp_workloads::{micro, spec, RunConfig, Tracer, Workload};
 
 fn bench_sequitur(c: &mut Criterion) {
@@ -354,23 +355,22 @@ fn bench_grammar_pipeline(c: &mut Criterion) {
         tracer.finish();
     }
 
+    // The old inline path (four bare Sequiturs, tuple by tuple)
+    // against the default concurrent profiler.
     group.bench_function("whomp_inline", |b| {
+        b.iter(|| {
+            let mut cdc = Cdc::new(Omc::new(), InlineOmsg::default());
+            drive(&workload, &cfg, &mut cdc);
+            black_box(cdc.sink().total_size())
+        });
+    });
+    group.bench_function("whomp_concurrent", |b| {
         b.iter(|| {
             let mut cdc = Cdc::new(Omc::new(), WhompProfiler::new());
             drive(&workload, &cfg, &mut cdc);
             black_box(cdc.sink().total_size())
         });
     });
-    for workers in [1usize, 4] {
-        group.bench_function(format!("whomp_pipelined_{workers}"), |b| {
-            b.iter(|| {
-                let mut cdc = Cdc::new(Omc::new(), PipelinedWhomp::spawn(workers));
-                drive(&workload, &cfg, &mut cdc);
-                let (profiler, _) = cdc.into_parts().1.try_join().expect("pipeline healthy");
-                black_box(profiler.total_size())
-            });
-        });
-    }
     group.finish();
 }
 

@@ -21,10 +21,10 @@
 //!   (`VecOrSink`), at 1/2/4/8 shards;
 //! * **WHOMP grammar collection** — end-to-end into the per-instruction
 //!   hybrid grammars;
-//! * **WHOMP grammar pipeline** — end-to-end OMSG grammar mode with the
-//!   four dimension grammars built inline vs on 1/2/4 pipelined grammar
-//!   workers (`--grammar-workers`), including the grammar-vs-collection
-//!   gap;
+//! * **WHOMP grammar pipeline** — end-to-end OMSG grammar mode: the
+//!   default concurrent `WhompProfiler` against four bare Sequiturs fed
+//!   tuple by tuple (the old inline path), including the
+//!   grammar-vs-collection gap;
 //! * **LEAP collection** — the same stream into the LMAD profiler.
 //!
 //! The collection baseline ("single shard") is the **seed-equivalent**
@@ -43,11 +43,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use orp_bench::InlineOmsg;
 use orp_core::sharded::ShardedCdc;
 use orp_core::{Cdc, Omc, OrSink, OrTuple, Timestamp, VecOrSink};
 use orp_leap::LeapProfiler;
+use orp_obs::StatsRecorder;
 use orp_trace::{AccessEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress};
-use orp_whomp::{HybridProfiler, PipelinedWhomp, WhompProfiler};
+use orp_whomp::{HybridProfiler, WhompProfiler};
 
 /// Live heap objects (list nodes): big enough that the reference
 /// `BTreeMap` walk leaves cache on every chase step.
@@ -481,32 +483,25 @@ where
     }
 }
 
-const GRAMMAR_WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
 /// The seed's end-to-end grammar-mode throughput (MEPS), the fixed
-/// baseline the pipelined acceptance ratio is taken against.
+/// baseline the concurrent acceptance ratio is taken against.
 const SEED_GRAMMAR_MEPS: f64 = 0.44;
 
 struct GrammarPipelineEps {
-    /// Grammars built inline on the collection thread (the sequential
-    /// `--profiler whomp` default).
+    /// Four bare Sequiturs fed tuple by tuple on the collection thread
+    /// (the old inline path).
     inline: f64,
-    /// `PipelinedWhomp` at each entry of [`GRAMMAR_WORKER_COUNTS`].
-    pipelined: Vec<f64>,
-}
-
-impl GrammarPipelineEps {
-    fn pipelined_at(&self, workers: usize) -> f64 {
-        self.pipelined[GRAMMAR_WORKER_COUNTS
-            .iter()
-            .position(|&w| w == workers)
-            .expect("measured worker count")]
-    }
+    /// The default `WhompProfiler`: three dimension grammars on this
+    /// host's grammar workers, the offset grammar on the collection
+    /// thread.
+    concurrent: f64,
+    /// The grammar workers the default profiler ran.
+    workers: u64,
 }
 
 /// End-to-end OMSG grammar mode: translation plus all four dimension
-/// grammars, inline vs pipelined. The timed region includes the final
-/// drain and join — the cost a real run pays before it can serialize.
+/// grammars, inline vs concurrent. The timed region includes the final
+/// drain — the cost a real run pays before it can serialize.
 fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> GrammarPipelineEps {
     let n = events.len() as u64;
     let slot = std::cell::RefCell::new(Some(omc.clone()));
@@ -514,6 +509,15 @@ fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> GrammarPipeline
     let put = |omc: Omc| *slot.borrow_mut() = Some(omc);
 
     let mut inline = || {
+        let mut cdc = Cdc::new(take(), InlineOmsg::default());
+        replay(&mut cdc, events);
+        let collected = cdc.time().0;
+        let (omc, profiler) = cdc.into_parts();
+        black_box(profiler.total_size());
+        put(omc);
+        collected
+    };
+    let mut concurrent = || {
         let mut cdc = Cdc::new(take(), WhompProfiler::new());
         replay(&mut cdc, events);
         let collected = cdc.time().0;
@@ -522,30 +526,13 @@ fn measure_grammar_pipeline(omc: &Omc, events: &[ProbeEvent]) -> GrammarPipeline
         put(omc);
         collected
     };
-    let mut pipelined_runs: Vec<Box<dyn FnMut() -> u64 + '_>> = GRAMMAR_WORKER_COUNTS
-        .iter()
-        .map(|&workers| {
-            Box::new(move || {
-                let mut cdc = Cdc::new(take(), PipelinedWhomp::spawn(workers));
-                replay(&mut cdc, events);
-                let collected = cdc.time().0;
-                let (omc, pipe) = cdc.into_parts();
-                let (profiler, _) = pipe.try_join().expect("pipeline healthy");
-                black_box(profiler.total_size());
-                put(omc);
-                collected
-            }) as Box<dyn FnMut() -> u64 + '_>
-        })
-        .collect();
-
-    let mut sweeps: Vec<&mut dyn FnMut() -> u64> = vec![&mut inline];
-    for run in &mut pipelined_runs {
-        sweeps.push(run.as_mut());
-    }
-    let eps = measure_interleaved(n, &mut sweeps);
+    let eps = measure_interleaved(n, &mut [&mut inline, &mut concurrent]);
+    let mut rec = StatsRecorder::default();
+    WhompProfiler::new().record_grammar_metrics(&mut rec);
     GrammarPipelineEps {
         inline: eps[0],
-        pipelined: eps[1..].to_vec(),
+        concurrent: eps[1],
+        workers: rec.counter_value("grammar.workers"),
     }
 }
 
@@ -613,47 +600,43 @@ fn grammar_pipeline_json(
     collection_fastpath: f64,
     events: usize,
 ) -> String {
-    let pipelined: Vec<String> = GRAMMAR_WORKER_COUNTS
-        .iter()
-        .zip(&g.pipelined)
-        .map(|(workers, eps)| format!("\"{workers}\": {}", meps(*eps)))
-        .collect();
     format!(
         concat!(
             "{{\n",
             "    \"timed_events\": {},\n",
             "    \"seed_grammar_meps\": {},\n",
+            "    \"grammar_workers\": {},\n",
             "    \"inline_meps\": {},\n",
-            "    \"pipelined_meps\": {{ {} }},\n",
-            "    \"pipelined_4_speedup_over_inline\": {},\n",
-            "    \"pipelined_4_speedup_over_seed\": {},\n",
-            "    \"collection_gap_4\": {}\n",
+            "    \"concurrent_meps\": {},\n",
+            "    \"concurrent_speedup_over_inline\": {},\n",
+            "    \"concurrent_speedup_over_seed\": {},\n",
+            "    \"collection_gap\": {}\n",
             "  }}"
         ),
         events,
         SEED_GRAMMAR_MEPS,
+        g.workers,
         meps(g.inline),
-        pipelined.join(", "),
-        ratio(g.pipelined_at(4), g.inline),
-        ratio(g.pipelined_at(4), SEED_GRAMMAR_MEPS * 1e6),
-        ratio(collection_fastpath, g.pipelined_at(4)),
+        meps(g.concurrent),
+        ratio(g.concurrent, g.inline),
+        ratio(g.concurrent, SEED_GRAMMAR_MEPS * 1e6),
+        ratio(collection_fastpath, g.concurrent),
     )
 }
 
 fn print_grammar_pipeline(g: &GrammarPipelineEps, collection_fastpath: f64) {
     println!("whomp grammar pipeline: inline {:>7} Mev/s", meps(g.inline));
-    for (workers, eps) in GRAMMAR_WORKER_COUNTS.iter().zip(&g.pipelined) {
-        println!(
-            "             workers x{workers}: {:>7} Mev/s ({}x over inline, {}x over the {} Mev/s seed)",
-            meps(*eps),
-            ratio(*eps, g.inline),
-            ratio(*eps, SEED_GRAMMAR_MEPS * 1e6),
-            SEED_GRAMMAR_MEPS,
-        );
-    }
     println!(
-        "             grammar-vs-collection gap at x4: {}x",
-        ratio(collection_fastpath, g.pipelined_at(4)),
+        "             concurrent: {:>7} Mev/s ({}x over inline, {}x over the {} Mev/s seed; grammar workers: {})",
+        meps(g.concurrent),
+        ratio(g.concurrent, g.inline),
+        ratio(g.concurrent, SEED_GRAMMAR_MEPS * 1e6),
+        SEED_GRAMMAR_MEPS,
+        g.workers,
+    );
+    println!(
+        "             grammar-vs-collection gap: {}x",
+        ratio(collection_fastpath, g.concurrent),
     );
 }
 
@@ -719,11 +702,11 @@ fn main() -> std::process::ExitCode {
 
     let translate_ok = chase.mru_memo >= 3.0 * chase.reference_btreemap;
     let whomp_ok = whomp.sharded_at(4) >= 2.0 * whomp.single_shard_reference;
-    let gpipe_ok = gpipe.pipelined_at(4) >= 5.0 * SEED_GRAMMAR_MEPS * 1e6;
+    let gpipe_ok = gpipe.concurrent >= 5.0 * SEED_GRAMMAR_MEPS * 1e6;
     println!(
         "\nacceptance: fast-path translate >= 3x reference: {translate_ok}; \
          4-shard WHOMP collection >= 2x single-shard baseline: {whomp_ok}; \
-         4-worker grammar pipeline >= 5x the {SEED_GRAMMAR_MEPS} Mev/s seed: {gpipe_ok}"
+         concurrent grammar pipeline >= 5x the {SEED_GRAMMAR_MEPS} Mev/s seed: {gpipe_ok}"
     );
 
     let json = format!(
@@ -732,7 +715,7 @@ fn main() -> std::process::ExitCode {
             "  \"benchmark\": \"throughput\",\n",
             "  \"available_parallelism\": {},\n",
             "  \"baseline\": \"seed-equivalent single-worker collection pipeline (bounded-channel ThreadedCdc translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
-            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode with construction moved off the collection thread (--grammar-workers) plus the Fx digram hasher, packed symbols and batched push; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the pipelined path degrades to inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone\",\n",
+            "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode: the default WhompProfiler (instruction/group/object grammars on min(available_parallelism-1, 3) workers, offset grammar on the collection thread) against four bare Sequiturs fed tuple by tuple; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the default profiler has no workers and builds inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone; grammar_pipeline_4_workers_5x_seed keeps its historical name and gates the default profiler\",\n",
             "  \"workload\": {{ \"live_objects\": {}, \"chased_nodes\": {}, \"fields_per_node\": {}, \"timed_events\": {} }},\n",
             "  \"raw_translate\": {{\n",
             "    \"pointer_chase\": {},\n",

@@ -11,7 +11,8 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use orp_core::{Cdc, Omc, SampleStats, Sampler};
+use orp_core::{Cdc, Omc, OrSink, OrTuple, SampleStats, Sampler};
+use orp_sequitur::Sequitur;
 use orp_trace::{CountingSink, NullSink, ProbeSink, TeeSink};
 use orp_whomp::{Omsg, Rasg, RasgProfiler, WhompProfiler};
 use orp_workloads::{RunConfig, Workload};
@@ -89,6 +90,32 @@ pub fn compression_run(workload: &dyn Workload, cfg: &RunConfig) -> CompressionR
         gain_percent: orp_whomp::compression_gain_percent(&omsg, &rasg),
         symbol_gain_percent: orp_whomp::symbol_gain_percent(&omsg, &rasg),
         collect_time,
+    }
+}
+
+/// WHOMP's old inline grammar path: four bare Sequiturs, one per OMSG
+/// dimension, fed tuple by tuple on the collection thread. The
+/// baseline the concurrent [`WhompProfiler`] is timed against; it
+/// builds the same grammars.
+#[derive(Debug, Default)]
+pub struct InlineOmsg {
+    dims: [Sequitur; 4],
+}
+
+impl InlineOmsg {
+    /// Total grammar size across the four dimensions.
+    #[must_use]
+    pub fn total_size(&self) -> u64 {
+        self.dims.iter().map(Sequitur::size).sum()
+    }
+}
+
+impl OrSink for InlineOmsg {
+    fn tuple(&mut self, t: &OrTuple) {
+        self.dims[0].push(u64::from(t.instr.0));
+        self.dims[1].push(u64::from(t.group.0));
+        self.dims[2].push(t.object.0);
+        self.dims[3].push(t.offset);
     }
 }
 

@@ -44,33 +44,58 @@ mod pipeline;
 mod session;
 
 pub use hybrid::{HybridProfile, HybridProfiler, InstrGrammars};
-pub use pipeline::{
-    GrammarPipelineStats, GrammarStreamStats, PipelinedHybrid, PipelinedRasg, PipelinedWhomp,
-};
+pub use pipeline::{GrammarPipelineStats, GrammarStreamStats, PipelinedHybrid, PipelinedRasg};
+
+use std::cell::RefCell;
 
 use orp_core::{OrSink, OrTuple};
 use orp_sequitur::{Grammar, Sequitur};
 use orp_trace::{AccessEvent, ProbeSink};
 
+use pipeline::Streams;
+
 /// The lossless object-relative profiler: one Sequitur compressor per
-/// horizontal dimension.
+/// horizontal dimension, built concurrently.
+///
+/// The instruction, group and object grammars grow on one grammar
+/// worker per spare core (at most three); the collection thread grows
+/// the offset grammar, and on a 1-core host all four. Every grammar
+/// read — [`OrSink::finish`], [`WhompProfiler::total_size`], the
+/// metrics, checkpoints, finalization — first drains the workers, so
+/// the output is byte-identical to inline construction (DESIGN.md §13).
+/// A dead worker makes the infallible reads panic and `save_state` /
+/// `finalize_profile` fail, naming the worker's dimensions.
 ///
 /// Implements [`OrSink`], so it plugs directly behind a
 /// [`Cdc`](orp_core::Cdc).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct WhompProfiler {
-    instr: Sequitur,
-    group: Sequitur,
-    object: Sequitur,
-    offset: Sequitur,
+    /// Behind a `RefCell` because the `&self` reads must drain the
+    /// workers, which flushes the column batches.
+    dims: RefCell<Streams<4>>,
     tuples: u64,
 }
 
+impl Default for WhompProfiler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl WhompProfiler {
-    /// Creates an empty profiler.
+    /// Creates an empty profiler, spawning its grammar workers.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::from_grammars(Default::default(), 0)
+    }
+
+    /// Continues four in-progress grammars (in dimension order) that
+    /// have consumed `tuples` tuples.
+    pub(crate) fn from_grammars(grammars: [Sequitur; 4], tuples: u64) -> Self {
+        WhompProfiler {
+            dims: RefCell::new(Streams::dimensions(grammars)),
+            tuples,
+        }
     }
 
     /// Number of tuples consumed so far.
@@ -79,59 +104,100 @@ impl WhompProfiler {
         self.tuples
     }
 
+    /// Runs `f` over the four grammars behind the drain barrier.
+    fn drained<R>(&self, f: impl FnOnce([&Sequitur; 4], &GrammarPipelineStats) -> R) -> R {
+        self.try_drained(f).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    pub(crate) fn try_drained<R>(
+        &self,
+        f: impl FnOnce([&Sequitur; 4], &GrammarPipelineStats) -> R,
+    ) -> std::io::Result<R> {
+        self.dims
+            .borrow_mut()
+            .lend_grammars(f)
+            .map_err(std::io::Error::other)
+    }
+
     /// Current total grammar size across the four dimensions.
     #[must_use]
     pub fn total_size(&self) -> u64 {
-        self.instr.size() + self.group.size() + self.object.size() + self.offset.size()
+        self.drained(|g, _| g.iter().map(|s| s.size()).sum())
     }
 
     /// Publishes the profiler's growth counters onto `rec`. Call at a
     /// phase boundary — the tuple path only bumps plain integers.
     pub fn record_metrics(&self, rec: &mut dyn orp_obs::Recorder) {
-        rec.counter("whomp.tuples", self.tuples);
-        rec.counter("whomp.grammar_symbols", self.total_size());
-        rec.counter("whomp.grammar_symbols.instruction", self.instr.size());
-        rec.counter("whomp.grammar_symbols.group", self.group.size());
-        rec.counter("whomp.grammar_symbols.object", self.object.size());
-        rec.counter("whomp.grammar_symbols.offset", self.offset.size());
+        self.drained(|[instr, group, object, offset], _| {
+            rec.counter("whomp.tuples", self.tuples);
+            rec.counter(
+                "whomp.grammar_symbols",
+                instr.size() + group.size() + object.size() + offset.size(),
+            );
+            rec.counter("whomp.grammar_symbols.instruction", instr.size());
+            rec.counter("whomp.grammar_symbols.group", group.size());
+            rec.counter("whomp.grammar_symbols.object", object.size());
+            rec.counter("whomp.grammar_symbols.offset", offset.size());
+        });
     }
 
-    /// Publishes the grammar stage's per-dimension shape (`grammar.*`)
-    /// onto `rec`: live rules and right-hand-side symbols per
-    /// dimension. Works identically in sequential and pipelined runs —
-    /// worker timings come separately from
-    /// [`GrammarPipelineStats::record_metrics`].
+    /// Publishes the grammar stage onto `rec`: live rules and
+    /// right-hand-side symbols per dimension, plus the concurrent
+    /// construction totals (`grammar.workers` and per-dimension
+    /// batches, stalls and busy time — the offset dimension's busy time
+    /// is spent on the collection thread).
     pub fn record_grammar_metrics(&self, rec: &mut dyn orp_obs::Recorder) {
-        rec.counter("grammar.rules.instruction", self.instr.rule_count() as u64);
-        rec.counter("grammar.rules.group", self.group.rule_count() as u64);
-        rec.counter("grammar.rules.object", self.object.rule_count() as u64);
-        rec.counter("grammar.rules.offset", self.offset.rule_count() as u64);
-        rec.counter("grammar.symbols.instruction", self.instr.size());
-        rec.counter("grammar.symbols.group", self.group.size());
-        rec.counter("grammar.symbols.object", self.object.size());
-        rec.counter("grammar.symbols.offset", self.offset.size());
+        self.drained(|[instr, group, object, offset], stats| {
+            rec.counter("grammar.rules.instruction", instr.rule_count() as u64);
+            rec.counter("grammar.rules.group", group.rule_count() as u64);
+            rec.counter("grammar.rules.object", object.rule_count() as u64);
+            rec.counter("grammar.rules.offset", offset.rule_count() as u64);
+            rec.counter("grammar.symbols.instruction", instr.size());
+            rec.counter("grammar.symbols.group", group.size());
+            rec.counter("grammar.symbols.object", object.size());
+            rec.counter("grammar.symbols.offset", offset.size());
+            stats.record_metrics(rec);
+        });
     }
 
     /// Finalizes the profile into an [`Omsg`].
     #[must_use]
     pub fn into_omsg(self) -> Omsg {
-        Omsg {
-            instr: self.instr.grammar(),
-            group: self.group.grammar(),
-            object: self.object.grammar(),
-            offset: self.offset.grammar(),
+        self.try_into_omsg().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    pub(crate) fn try_into_omsg(self) -> std::io::Result<Omsg> {
+        let ([instr, group, object, offset], _) = self
+            .dims
+            .into_inner()
+            .into_grammars()
+            .map_err(std::io::Error::other)?;
+        Ok(Omsg {
+            instr: instr.grammar(),
+            group: group.grammar(),
+            object: object.grammar(),
+            offset: offset.grammar(),
             tuples: self.tuples,
-        }
+        })
     }
 }
 
 impl OrSink for WhompProfiler {
+    #[inline]
     fn tuple(&mut self, t: &OrTuple) {
-        self.instr.push(u64::from(t.instr.0));
-        self.group.push(u64::from(t.group.0));
-        self.object.push(t.object.0);
-        self.offset.push(t.offset);
+        self.dims.get_mut().push([
+            u64::from(t.instr.0),
+            u64::from(t.group.0),
+            t.object.0,
+            t.offset,
+        ]);
         self.tuples += 1;
+    }
+
+    /// Drains the workers. A worker death is kept and reported by the
+    /// next read.
+    fn finish(&mut self) {
+        let _ = self.dims.get_mut().lend_grammars(|_, _| ());
     }
 }
 
@@ -519,20 +585,86 @@ mod tests {
         assert_eq!(compression_gain_percent(&omsg, &rasg), 0.0);
     }
 
+    /// A profiler on `workers` grammar workers, whatever the host.
+    fn on_workers(workers: usize) -> WhompProfiler {
+        WhompProfiler {
+            dims: RefCell::new(Streams::dimensions_on(Default::default(), workers)),
+            tuples: 0,
+        }
+    }
+
+    fn tuple(k: u64) -> OrTuple {
+        OrTuple {
+            instr: InstrId((k % 7) as u32),
+            kind: orp_trace::AccessKind::Load,
+            group: orp_core::GroupId((k % 3) as u32),
+            object: orp_core::ObjectSerial(k % 11),
+            offset: (k % 5) * 8,
+            time: orp_core::Timestamp(k),
+            size: 8,
+        }
+    }
+
+    /// Every worker count builds what all-local construction builds,
+    /// read mid-batch and at the end (all-local against inline
+    /// construction is `pipeline_differential`'s job).
+    #[test]
+    fn every_worker_count_builds_the_same_grammars() {
+        use orp_core::SessionSink;
+        let state = |workers: usize, tuples: u64| {
+            let mut p = on_workers(workers);
+            for k in 0..tuples {
+                p.tuple(&tuple(k));
+            }
+            let mut state = Vec::new();
+            p.save_state(&mut state).unwrap();
+            state
+        };
+        for workers in 1..=4 {
+            for tuples in [1234, 3000] {
+                assert_eq!(
+                    state(workers, tuples),
+                    state(0, tuples),
+                    "{workers} workers"
+                );
+            }
+        }
+    }
+
+    /// A panicking grammar worker surfaces as an error naming its
+    /// dimensions at the next drain and every later one, and feeding
+    /// after its death never blocks.
+    #[test]
+    fn dead_worker_surfaces_as_a_named_error_at_the_next_drain() {
+        use orp_core::SessionSink;
+        for (workers, named) in [
+            (1, "grammar worker 0 (instruction, group, object)"),
+            (3, "grammar worker 2 (object)"),
+        ] {
+            let mut p = on_workers(workers);
+            for k in 0..1000 {
+                p.tuple(&tuple(k));
+            }
+            p.dims.get_mut().inject_worker_panic(2);
+            // Far more batches than the dead worker's queue holds.
+            for k in 0..100_000 {
+                p.tuple(&tuple(k));
+            }
+            let err = p.save_state(&mut Vec::new()).expect_err("dead worker");
+            let msg = err.to_string();
+            assert!(msg.contains(named), "{msg}");
+            assert!(msg.contains("does not own its stream"), "{msg}");
+            p.finish();
+            let err = p.finalize_profile(&mut Vec::new()).expect_err("still dead");
+            assert!(err.to_string().contains(named), "{err}");
+        }
+    }
+
     #[test]
     fn profiler_running_size_matches_final() {
         let mut p = WhompProfiler::new();
-        let t = orp_core::OrTuple {
-            instr: InstrId(0),
-            kind: orp_trace::AccessKind::Load,
-            group: orp_core::GroupId(0),
-            object: orp_core::ObjectSerial(0),
-            offset: 0,
-            time: orp_core::Timestamp(0),
-            size: 8,
-        };
-        for _ in 0..100 {
-            p.tuple(&t);
+        for k in 0..100 {
+            p.tuple(&tuple(k));
         }
         let running = p.total_size();
         assert_eq!(running, p.into_omsg().total_size());

@@ -1,49 +1,50 @@
-//! Parallel pipelined grammar construction.
+//! Concurrent grammar construction.
 //!
-//! `BENCH_throughput.json` put raw collection near 29 MEPS while every
-//! grammar-backed mode sat at ~0.44 MEPS: single-threaded Sequitur
-//! construction was the wall, and sharding the *collection* side could
-//! not move it. This module parallelizes the grammar stage itself,
-//! exploiting the decomposition structure the paper already gives us:
+//! Single-threaded Sequitur construction is the wall of every
+//! grammar-backed mode. This module moves grammar work off the
+//! collection thread, exploiting the decomposition structure the paper
+//! already gives us:
 //!
 //! * WHOMP's OMSG keeps one **independent** Sequitur per horizontal
-//!   dimension (instruction/group/object/offset) — four embarrassingly
-//!   parallel consumers ([`PipelinedWhomp`]);
-//! * RASG keeps a single record grammar, which still overlaps with the
-//!   probe side when moved off-thread ([`PipelinedRasg`]);
+//!   dimension. [`WhompProfiler`](crate::WhompProfiler) always grows
+//!   the instruction, group and object grammars on up to three
+//!   persistent workers while the collection thread grows the offset
+//!   grammar ([`Streams`]);
+//! * RASG's single record grammar overlaps with the probe side when
+//!   moved off-thread ([`PipelinedRasg`], the same [`Streams`]);
 //! * the hybrid profiler is partitioned by instruction, so tuple
-//!   batches route to workers by the same vertical-decomposition key
-//!   the sharded pipeline uses, and the existing
+//!   batches route to workers by the sharded pipeline's key and
 //!   [`ShardableSink::merge`](orp_core::ShardableSink) reassembles the
 //!   result ([`PipelinedHybrid`]).
 //!
-//! # Batching contract
+//! # Batching and determinism
 //!
-//! The feed side buffers per-stream symbol vectors and ships them as
-//! batches over **bounded** channels (back-pressure, not unbounded
-//! memory), recycling spent buffers through return channels exactly
-//! like [`orp_core::sharded`]. A stream's symbols reach exactly one
-//! worker, in collection order, whatever the batch size — so batch
-//! boundaries and thread scheduling are unobservable in the output.
+//! The feed side ships per-stream batches over **bounded** channels
+//! (back-pressure, not unbounded memory), recycling spent buffers like
+//! [`orp_core::sharded`]. Each stream reaches exactly one grammar,
+//! complete and in collection order, and Sequitur is a deterministic
+//! function of its input — so batch boundaries and scheduling are
+//! unobservable: container and checkpoint bytes are identical to
+//! sequential construction. The differential tests and golden fixtures
+//! pin this down.
 //!
-//! # Determinism argument
+//! # Drain barrier
 //!
-//! Sequitur is a deterministic function of its input stream. Each
-//! dimension's stream arrives at one worker complete and in order, so
-//! every per-dimension grammar — and therefore the OMSG/RASG/hybrid
-//! container bytes — is byte-identical to sequential construction.
-//! The differential tests and golden fixtures pin this down.
+//! Reading a WHOMP grammar mid-run (a checkpoint, a size query, the
+//! final profile) flushes the batches and then *lends* each worker's
+//! grammars to the collection thread: the lend request queues behind
+//! every batch already shipped, so the worker answers only once it has
+//! consumed them, and the grammars go back before collection resumes.
 //!
 //! # Degraded shutdown
 //!
-//! A grammar worker's death cannot be salvaged the way a dead *shard*
-//! lane can (PR 5): the in-progress grammar state dies with the
-//! worker's thread, and a replacement could not re-derive it without
-//! the already-consumed prefix. The pipeline therefore reuses the
+//! A dead grammar worker cannot be salvaged like a dead *shard* lane:
+//! its in-progress grammar dies with its thread. The pipelines keep the
 //! salvage path's *containment* contract instead: the feed side keeps
 //! accepting (and dropping) symbols after a worker dies — no deadlock,
-//! no cascading panic mid-collection — and the failure surfaces as a
-//! [`PipelineError`] naming the worker at join, exactly like
+//! no cascading panic — and the failure surfaces as a
+//! [`PipelineError`] naming the worker and its streams at the next
+//! drain or join, like
 //! [`ShardedCdc::try_join`](orp_core::ShardedCdc::try_join).
 
 use std::time::Instant;
@@ -56,9 +57,9 @@ use orp_obs::Recorder;
 use orp_sequitur::Sequitur;
 use orp_trace::{AccessEvent, ProbeSink};
 
-use crate::{fuse, HybridProfiler, RasgProfiler, WhompProfiler};
+use crate::{fuse, HybridProfiler, RasgProfiler};
 
-/// Symbols per batch shipped to a grammar worker.
+/// Symbols per batch shipped to a RASG or hybrid grammar worker.
 #[cfg(not(loom))]
 const SYMBOL_BATCH: usize = 8192;
 /// Model-checking build: tiny batches so a handful of symbols crosses
@@ -66,16 +67,62 @@ const SYMBOL_BATCH: usize = 8192;
 #[cfg(loom)]
 const SYMBOL_BATCH: usize = 2;
 
-/// Bounded queue depth, in batches, of every grammar-worker channel.
+/// Tuples per WHOMP column batch. Small enough that back-pressure from
+/// a busy worker spreads evenly over collection instead of landing on
+/// one long flush (4096-tuple batches doubled the p95 frame latency).
+#[cfg(not(loom))]
+const TUPLE_BATCH: usize = 512;
+/// Model-checking build: see [`SYMBOL_BATCH`].
+#[cfg(loom)]
+const TUPLE_BATCH: usize = 2;
+
+/// Bounded queue depth, in batches, of a RASG or hybrid worker channel.
 #[cfg(not(loom))]
 const QUEUE_BATCHES: usize = 32;
 /// Model-checking build: depth 1 makes back-pressure reachable.
 #[cfg(loom)]
 const QUEUE_BATCHES: usize = 1;
 
+/// Bounded queue depth, in column batches, of a WHOMP worker channel:
+/// about three flushes of look-ahead when one worker owns all three
+/// dimensions. Deeper queues only hold more idle buffers (32 cost
+/// +0.2–0.3 MiB of peak RSS on `whomp-mcf`); depth 4 let stalls reach
+/// the p95 frame latency.
+#[cfg(not(loom))]
+const COLUMN_QUEUE_BATCHES: usize = 8;
+/// Model-checking build: see [`QUEUE_BATCHES`].
+#[cfg(loom)]
+const COLUMN_QUEUE_BATCHES: usize = 1;
+
 /// The OMSG dimension names, in stream order.
 const DIMS: [&str; 4] = ["instruction", "group", "object", "offset"];
 
+/// The dimension the collection thread always builds itself. Its
+/// grammar holds the largest state, and growing it on a worker kept
+/// that memory in the worker thread's malloc arena (+6% peak RSS).
+const OFFSET: usize = 3;
+
+/// How many WHOMP grammar workers this host gets: one per spare core,
+/// at most one per worker-built dimension. A 1-core host gets none and
+/// builds all four grammars on the collection thread.
+#[cfg(not(loom))]
+fn grammar_workers() -> usize {
+    thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .saturating_sub(1)
+        .min(OFFSET)
+}
+
+/// Model-checking build: always one worker, so the model covers the
+/// lend/return protocol on every host.
+#[cfg(loom)]
+fn grammar_workers() -> usize {
+    1
+}
+
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
 /// One symbol stream's feed-side totals, counted on the collection
 /// thread; plain integers bumped inline, published only at join.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -164,8 +211,17 @@ impl GrammarPipelineStats {
     }
 }
 
-/// What a grammar worker hands back at shutdown: each stream it owned,
-/// with the grammar state and the time spent growing it.
+/// What a grammar worker grows from the batches it is sent: the state
+/// it owns, lends on request and hands back at shutdown.
+trait Grow: Default + Send + 'static {
+    /// What a batch carries.
+    type Item: Send + 'static;
+    /// Grows the state by `batch`, addressed to `stream`.
+    fn grow(&mut self, stream: u8, batch: &[Self::Item]);
+}
+
+/// One stream's grammar state on a symbol worker, and the time spent
+/// growing it.
 #[derive(Debug)]
 struct WorkerStream {
     stream: u8,
@@ -173,35 +229,87 @@ struct WorkerStream {
     busy_ns: u64,
 }
 
-/// One worker's inbound lane: its symbol channel, the buffer-recycling
-/// return channel, and the hung-up flag.
-#[derive(Debug)]
-struct SymbolLane {
-    tx: Option<SyncSender<(u8, Vec<u64>)>>,
-    recycled: Receiver<Vec<u64>>,
+impl Grow for Vec<WorkerStream> {
+    type Item = u64;
+
+    fn grow(&mut self, stream: u8, batch: &[u64]) {
+        let slot = self
+            .iter_mut()
+            .find(|s| s.stream == stream)
+            .expect("batch routed to a worker that does not own its stream");
+        let start = Instant::now();
+        slot.seq.push_batch(batch);
+        slot.busy_ns += elapsed_ns(start);
+    }
 }
 
-impl SymbolLane {
+/// A hybrid worker: one [`HybridProfiler`] over its share of the
+/// instructions, and the time spent growing it.
+#[derive(Debug, Default)]
+struct HybridWorker {
+    sink: HybridProfiler,
+    busy_ns: u64,
+}
+
+impl Grow for HybridWorker {
+    type Item = OrTuple;
+
+    fn grow(&mut self, _: u8, batch: &[OrTuple]) {
+        let start = Instant::now();
+        self.sink.tuple_batch(batch);
+        self.busy_ns += elapsed_ns(start);
+    }
+}
+
+/// What the feed side sends a grammar worker.
+#[derive(Debug)]
+enum Msg<G: Grow> {
+    /// The next batch for one stream.
+    Batch(u8, Vec<G::Item>),
+    /// Hand the state back over the lend channel, then wait for
+    /// [`Msg::Return`].
+    Lend,
+    /// The state handed out by the last [`Msg::Lend`].
+    Return(G),
+}
+
+/// One worker's inbound lane: its message channel, the buffer-recycling
+/// return channel and the lend channel. `tx` is `None` once the worker
+/// is known dead.
+#[derive(Debug)]
+struct Lane<G: Grow> {
+    tx: Option<SyncSender<Msg<G>>>,
+    recycled: Receiver<Vec<G::Item>>,
+    lent: Receiver<G>,
+}
+
+impl<G: Grow> Lane<G> {
     /// Ships `batch` for stream `stream`, returning a fresh (recycled
-    /// or new) buffer. Stall and batch totals land in `stats`; a dead
-    /// worker marks the lane and the batch is dropped — the panic
-    /// surfaces at join.
-    fn ship(&mut self, stream: u8, batch: Vec<u64>, stats: &mut GrammarStreamStats) -> Vec<u64> {
+    /// or new) buffer of the same capacity. Stall and batch totals land
+    /// in `stats`; a dead worker marks the lane and the batch is
+    /// dropped — the panic surfaces at the next drain or join.
+    fn ship(
+        &mut self,
+        stream: u8,
+        batch: Vec<G::Item>,
+        stats: &mut GrammarStreamStats,
+    ) -> Vec<G::Item> {
+        let capacity = batch.capacity();
         let fresh = self
             .recycled
             .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(SYMBOL_BATCH));
+            .unwrap_or_else(|_| Vec::with_capacity(capacity));
         let Some(tx) = &self.tx else {
             return fresh;
         };
         // Non-blocking first, so a full queue — the worker
         // back-pressuring collection — is observable as a stall before
         // the blocking send parks this thread.
-        match tx.try_send((stream, batch)) {
+        match tx.try_send(Msg::Batch(stream, batch)) {
             Ok(()) => stats.batches += 1,
-            Err(TrySendError::Full(batch)) => {
+            Err(TrySendError::Full(msg)) => {
                 stats.stalls += 1;
-                match tx.send(batch) {
+                match tx.send(msg) {
                     Ok(()) => stats.batches += 1,
                     Err(mpsc::SendError(_)) => self.tx = None,
                 }
@@ -210,256 +318,322 @@ impl SymbolLane {
         }
         fresh
     }
+
+    /// Borrows the worker's state once it has consumed everything
+    /// shipped before; `None` when the worker is dead.
+    fn lend(&self) -> Option<G> {
+        self.tx.as_ref()?.send(Msg::Lend).ok()?;
+        self.lent.recv().ok()
+    }
+
+    /// Returns state taken by [`Lane::lend`] to its worker.
+    fn give_back(&self, state: G) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(Msg::Return(state));
+        }
+    }
 }
 
-/// Spawns one grammar worker owning the given `(stream, Sequitur)`
-/// pairs; it drains its lane, feeds each batch to the right grammar
-/// with [`Sequitur::push_batch`], and returns the streams at shutdown.
-fn spawn_grammar_worker(
-    index: usize,
-    streams: Vec<(u8, Sequitur)>,
-) -> (SymbolLane, JoinHandle<Vec<WorkerStream>>) {
-    let (tx, rx) = mpsc::sync_channel::<(u8, Vec<u64>)>(QUEUE_BATCHES);
-    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<u64>>(QUEUE_BATCHES);
+/// Spawns grammar worker `index` owning `state` behind a `depth`-batch
+/// queue; it drains its lane, grows its state by each batch, lends the
+/// state on request, and returns it at shutdown.
+fn spawn_worker<G: Grow>(index: usize, state: G, depth: usize) -> (Lane<G>, JoinHandle<G>) {
+    let (tx, rx) = mpsc::sync_channel::<Msg<G>>(depth);
+    let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<G::Item>>(depth);
+    let (lend_tx, lend_rx) = mpsc::sync_channel::<G>(1);
     let handle = thread::Builder::new()
         .name(format!("orp-grammar-{index}"))
         .spawn(move || {
-            let mut streams: Vec<WorkerStream> = streams
-                .into_iter()
-                .map(|(stream, seq)| WorkerStream {
-                    stream,
-                    seq,
-                    busy_ns: 0,
-                })
-                .collect();
-            while let Ok((stream, batch)) = rx.recv() {
-                let slot = streams
-                    .iter_mut()
-                    .find(|s| s.stream == stream)
-                    .expect("batch routed to a worker that does not own its stream");
-                let start = Instant::now();
-                slot.seq.push_batch(&batch);
-                slot.busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let mut spent = batch;
-                spent.clear();
-                let _ = recycle_tx.try_send(spent);
+            let mut state = state;
+            while let Ok(msg) = rx.recv() {
+                match msg {
+                    Msg::Batch(stream, mut batch) => {
+                        state.grow(stream, &batch);
+                        batch.clear();
+                        let _ = recycle_tx.try_send(batch);
+                    }
+                    Msg::Lend => {
+                        if lend_tx.send(std::mem::take(&mut state)).is_err() {
+                            break;
+                        }
+                    }
+                    Msg::Return(lent) => state = lent,
+                }
             }
-            streams
+            state
         })
         .expect("spawn grammar worker");
     (
-        SymbolLane {
+        Lane {
             tx: Some(tx),
             recycled: recycle_rx,
+            lent: lend_rx,
         },
         handle,
     )
 }
 
-/// Joins grammar workers, reporting the first panic as a
-/// [`PipelineError`] named `grammar worker <i>`.
-fn join_grammar_workers(
-    workers: Vec<JoinHandle<Vec<WorkerStream>>>,
-) -> Result<Vec<WorkerStream>, PipelineError> {
-    let mut streams = Vec::new();
-    let mut first_error: Option<PipelineError> = None;
-    for (i, handle) in workers.into_iter().enumerate() {
-        match handle.join() {
-            Ok(mut s) => streams.append(&mut s),
-            Err(payload) => {
-                let err = PipelineError {
-                    worker: format!("grammar worker {i}"),
-                    message: panic_message(payload),
-                };
-                first_error.get_or_insert(err);
-            }
-        }
-    }
-    match first_error {
-        Some(err) => Err(err),
-        None => Ok(streams),
-    }
-}
-
-/// [`WhompProfiler`] with grammar construction moved onto worker
-/// threads: an [`OrSink`] whose four dimension streams feed
-/// per-dimension Sequitur workers over bounded channels.
+/// Symbol streams grown concurrently: the engine behind
+/// [`WhompProfiler`](crate::WhompProfiler) (the four dimension streams)
+/// and [`PipelinedRasg`] (the record stream).
 ///
-/// Output is byte-identical to the sequential profiler (see the
-/// [module docs](self)); [`PipelinedWhomp::try_join`] hands the
-/// reassembled [`WhompProfiler`] back, so checkpointing and
-/// finalization reuse the sequential paths unchanged.
-///
-/// # Examples
-///
-/// ```
-/// use orp_core::{Cdc, Omc};
-/// use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
-/// use orp_whomp::PipelinedWhomp;
-///
-/// let mut cdc = Cdc::new(Omc::new(), PipelinedWhomp::spawn(4));
-/// cdc.alloc(AllocEvent { site: AllocSiteId(0), base: RawAddress(0x100), size: 16 });
-/// cdc.access(AccessEvent::load(InstrId(0), RawAddress(0x108), 8));
-/// cdc.finish();
-/// let (profiler, stats) = cdc.into_parts().1.try_join().unwrap();
-/// assert_eq!(profiler.tuples(), 1);
-/// assert_eq!(stats.streams.len(), 4);
-/// ```
+/// Symbols are buffered per stream in batches of `batch`. The first
+/// `shared` streams grow on the workers — stream `s` on worker
+/// `s % W` — and the rest, or all of them with no workers, grow on the
+/// collection thread from the same batches. Every read goes through the
+/// drain barrier (see the [module docs](self)).
 #[derive(Debug)]
-pub struct PipelinedWhomp {
-    /// Per-dimension batch under construction; all four grow in
-    /// lockstep (one symbol per dimension per tuple).
-    pending: [Vec<u64>; 4],
-    /// Per-dimension feed totals.
-    stats: [GrammarStreamStats; 4],
-    /// Which lane each dimension routes to (`dim % workers`).
-    route: [usize; 4],
-    lanes: Vec<SymbolLane>,
-    workers: Vec<JoinHandle<Vec<WorkerStream>>>,
-    tuples: u64,
+pub(crate) struct Streams<const N: usize> {
+    /// Batch under construction per stream; all grow in lockstep.
+    pending: [Vec<u64>; N],
+    batch: usize,
+    /// The grammars this thread grows; `None` where a worker owns it.
+    local: [Option<Sequitur>; N],
+    /// The lane of each worker-built stream.
+    route: [usize; N],
+    stats: [GrammarStreamStats; N],
+    lanes: Vec<Lane<Vec<WorkerStream>>>,
+    /// `None` once joined (at a worker death or at shutdown).
+    workers: Vec<Option<JoinHandle<Vec<WorkerStream>>>>,
+    /// The first worker death, reported by every later drain.
+    failure: Option<PipelineError>,
 }
 
-impl PipelinedWhomp {
-    /// Spawns an empty pipelined profiler with `workers` grammar
-    /// workers (clamped to the four dimensions; at least one).
+impl Streams<4> {
+    /// WHOMP's dimension streams on this host's workers.
+    pub(crate) fn dimensions(grammars: [Sequitur; 4]) -> Self {
+        Self::dimensions_on(grammars, grammar_workers())
+    }
+
+    /// WHOMP's dimension streams on `workers` workers: the offset
+    /// grammar always grows on the collection thread.
+    pub(crate) fn dimensions_on(grammars: [Sequitur; 4], workers: usize) -> Self {
+        let batches = (TUPLE_BATCH, COLUMN_QUEUE_BATCHES);
+        Self::spawn(grammars, DIMS, OFFSET, workers, batches)
+    }
+}
+
+impl<const N: usize> Streams<N> {
+    /// Continues `grammars`, spreading the first `shared` over
+    /// `workers` workers (at most one per stream); `batches` is the
+    /// batch size and the queue depth in batches.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn(workers: usize) -> Self {
-        Self::from_profiler(WhompProfiler::new(), workers)
-    }
-
-    /// Continues a (possibly restored) [`WhompProfiler`] on `workers`
-    /// grammar workers — the resume half of checkpointing through a
-    /// grammar-worker boundary. Dimension `d` routes to worker
-    /// `d % workers`, which owns that dimension's Sequitur.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn from_profiler(profiler: WhompProfiler, workers: usize) -> Self {
-        assert!(workers > 0, "at least one grammar worker is required");
-        let workers = workers.min(DIMS.len());
-        let WhompProfiler {
-            instr,
-            group,
-            object,
-            offset,
-            tuples,
-        } = profiler;
-        let mut per_worker: Vec<Vec<(u8, Sequitur)>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut route = [0usize; 4];
-        for (dim, seq) in [instr, group, object, offset].into_iter().enumerate() {
-            route[dim] = dim % workers;
-            per_worker[dim % workers].push((dim as u8, seq));
-        }
-        let mut lanes = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (i, streams) in per_worker.into_iter().enumerate() {
-            let (lane, handle) = spawn_grammar_worker(i, streams);
-            lanes.push(lane);
-            handles.push(handle);
-        }
-        let mut stats = [GrammarStreamStats::default(); 4];
-        for (dim, s) in stats.iter_mut().enumerate() {
-            s.stream = DIMS[dim];
-        }
-        PipelinedWhomp {
-            pending: std::array::from_fn(|_| Vec::with_capacity(SYMBOL_BATCH)),
-            stats,
-            route,
-            lanes,
-            workers: handles,
-            tuples,
-        }
-    }
-
-    /// Tuples consumed so far (including any restored prefix).
-    #[must_use]
-    pub fn tuples(&self) -> u64 {
-        self.tuples
-    }
-
-    fn flush(&mut self) {
-        for dim in 0..4 {
-            if self.pending[dim].is_empty() {
-                continue;
+    /// Panics if a thread cannot be spawned.
+    pub(crate) fn spawn(
+        grammars: [Sequitur; N],
+        names: [&'static str; N],
+        shared: usize,
+        workers: usize,
+        (batch, depth): (usize, usize),
+    ) -> Self {
+        let workers = workers.min(shared);
+        let mut local: [Option<Sequitur>; N] = std::array::from_fn(|_| None);
+        let mut route = [0usize; N];
+        let mut per_worker: Vec<Vec<WorkerStream>> = (0..workers).map(|_| Vec::new()).collect();
+        for (s, seq) in grammars.into_iter().enumerate() {
+            if s < shared && workers > 0 {
+                route[s] = s % workers;
+                per_worker[s % workers].push(WorkerStream {
+                    stream: s as u8,
+                    seq,
+                    busy_ns: 0,
+                });
+            } else {
+                local[s] = Some(seq);
             }
-            let batch = std::mem::take(&mut self.pending[dim]);
-            self.pending[dim] =
-                self.lanes[self.route[dim]].ship(dim as u8, batch, &mut self.stats[dim]);
+        }
+        let (lanes, workers) = per_worker
+            .into_iter()
+            .enumerate()
+            .map(|(i, streams)| {
+                let (lane, handle) = spawn_worker(i, streams, depth);
+                (lane, Some(handle))
+            })
+            .unzip();
+        Streams {
+            pending: std::array::from_fn(|_| Vec::with_capacity(batch)),
+            batch,
+            local,
+            route,
+            stats: names.map(|stream| GrammarStreamStats {
+                stream,
+                ..GrammarStreamStats::default()
+            }),
+            lanes,
+            workers,
+            failure: None,
         }
     }
 
-    /// Flushes remaining symbols, shuts the workers down and
-    /// reassembles the sequential [`WhompProfiler`] plus the worker
-    /// totals.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] naming the worker when a grammar
-    /// worker panicked (see the module docs on degraded shutdown).
-    pub fn try_join(mut self) -> Result<(WhompProfiler, GrammarPipelineStats), PipelineError> {
-        self.flush();
-        for lane in &mut self.lanes {
-            drop(lane.tx.take());
+    /// Appends one symbol per stream, flushing a full batch.
+    #[inline]
+    pub(crate) fn push(&mut self, symbols: [u64; N]) {
+        for (pending, symbol) in self.pending.iter_mut().zip(symbols) {
+            pending.push(symbol);
         }
-        let streams = join_grammar_workers(std::mem::take(&mut self.workers))?;
-        let mut stats = GrammarPipelineStats {
-            workers: self.lanes.len() as u64,
-            streams: self.stats.to_vec(),
-        };
-        let mut dims: [Option<Sequitur>; 4] = [None, None, None, None];
-        for ws in streams {
-            stats.streams[ws.stream as usize].busy_ns = ws.busy_ns;
-            dims[ws.stream as usize] = Some(ws.seq);
-        }
-        let [Some(instr), Some(group), Some(object), Some(offset)] = dims else {
-            unreachable!("every dimension has exactly one worker stream");
-        };
-        Ok((
-            WhompProfiler {
-                instr,
-                group,
-                object,
-                offset,
-                tuples: self.tuples,
-            },
-            stats,
-        ))
-    }
-}
-
-impl OrSink for PipelinedWhomp {
-    fn tuple(&mut self, t: &OrTuple) {
-        self.pending[0].push(u64::from(t.instr.0));
-        self.pending[1].push(u64::from(t.group.0));
-        self.pending[2].push(t.object.0);
-        self.pending[3].push(t.offset);
-        self.tuples += 1;
-        for s in &mut self.stats {
-            s.symbols += 1;
-        }
-        if self.pending[0].len() >= SYMBOL_BATCH {
+        if self.pending[0].len() >= self.batch {
             self.flush();
         }
     }
 
-    fn finish(&mut self) {
-        self.flush();
+    /// Ships the worker-built batches, then grows the local grammars,
+    /// so the workers start before this thread's share.
+    pub(crate) fn flush(&mut self) {
+        for s in 0..N {
+            if self.pending[s].is_empty() {
+                continue;
+            }
+            let stats = &mut self.stats[s];
+            stats.symbols += self.pending[s].len() as u64;
+            if let Some(seq) = &mut self.local[s] {
+                let start = Instant::now();
+                seq.push_batch(&self.pending[s]);
+                stats.busy_ns += elapsed_ns(start);
+                stats.batches += 1;
+                self.pending[s].clear();
+            } else {
+                let batch = std::mem::take(&mut self.pending[s]);
+                self.pending[s] = self.lanes[self.route[s]].ship(s as u8, batch, stats);
+            }
+        }
     }
-}
 
-impl Drop for PipelinedWhomp {
-    fn drop(&mut self) {
-        // Unblock and reap the workers if `try_join` was never called.
+    /// The drain barrier: flushes, waits until every worker has
+    /// consumed its queue, and runs `f` over the grammars (in stream
+    /// order) and the pipeline totals.
+    ///
+    /// # Errors
+    ///
+    /// A dead worker, named with its streams — at this drain and every
+    /// later one.
+    pub(crate) fn lend_grammars<R>(
+        &mut self,
+        f: impl FnOnce([&Sequitur; N], &GrammarPipelineStats) -> R,
+    ) -> Result<R, PipelineError> {
+        self.flush();
+        self.check()?;
+        let lent: Vec<Option<Vec<WorkerStream>>> = self.lanes.iter().map(Lane::lend).collect();
+        if let Some(dead) = lent.iter().position(Option::is_none) {
+            for (lane, streams) in self.lanes.iter().zip(lent) {
+                if let Some(streams) = streams {
+                    lane.give_back(streams);
+                }
+            }
+            return Err(self.fail(dead));
+        }
+        let lent: Vec<Vec<WorkerStream>> = lent.into_iter().flatten().collect();
+        let owned = |s: usize| {
+            lent[self.route[s]]
+                .iter()
+                .find(|ws| usize::from(ws.stream) == s)
+                .expect("every worker-built stream has one worker stream")
+        };
+        let mut stats = self.totals();
+        for (s, totals) in stats.streams.iter_mut().enumerate() {
+            if self.local[s].is_none() {
+                totals.busy_ns = owned(s).busy_ns;
+            }
+        }
+        let grammars = std::array::from_fn(|s| match &self.local[s] {
+            Some(seq) => seq,
+            None => &owned(s).seq,
+        });
+        let out = f(grammars, &stats);
+        for (lane, streams) in self.lanes.iter().zip(lent) {
+            lane.give_back(streams);
+        }
+        Ok(out)
+    }
+
+    /// Flushes, shuts the workers down and hands back the grammars (in
+    /// stream order) plus the pipeline totals.
+    ///
+    /// # Errors
+    ///
+    /// A dead worker, named with its streams.
+    pub(crate) fn into_grammars(
+        mut self,
+    ) -> Result<([Sequitur; N], GrammarPipelineStats), PipelineError> {
+        self.flush();
+        self.check()?;
         for lane in &mut self.lanes {
             drop(lane.tx.take());
         }
-        for handle in self.workers.drain(..) {
+        let mut grammars = std::mem::replace(&mut self.local, std::array::from_fn(|_| None));
+        let mut stats = self.totals();
+        for lane in 0..self.workers.len() {
+            let Some(handle) = self.workers[lane].take() else {
+                continue;
+            };
+            match handle.join() {
+                Ok(streams) => {
+                    for ws in streams {
+                        stats.streams[usize::from(ws.stream)].busy_ns = ws.busy_ns;
+                        grammars[usize::from(ws.stream)] = Some(ws.seq);
+                    }
+                }
+                Err(payload) => return Err(self.failed(lane, panic_message(payload))),
+            }
+        }
+        Ok((grammars.map(Option::unwrap_or_default), stats))
+    }
+
+    /// The feed-side totals; worker busy time is filled in by the
+    /// caller from the workers' own streams.
+    fn totals(&self) -> GrammarPipelineStats {
+        GrammarPipelineStats {
+            workers: self.lanes.len() as u64,
+            streams: self.stats.to_vec(),
+        }
+    }
+
+    fn check(&self) -> Result<(), PipelineError> {
+        self.failure.clone().map_or(Ok(()), Err)
+    }
+
+    /// Reaps the dead worker behind `lane` for its panic message.
+    fn fail(&mut self, lane: usize) -> PipelineError {
+        drop(self.lanes[lane].tx.take());
+        let message = match self.workers[lane].take().map(JoinHandle::join) {
+            Some(Err(payload)) => panic_message(payload),
+            _ => "exited before its grammars were drained".to_owned(),
+        };
+        self.failed(lane, message)
+    }
+
+    /// Records (and returns) the failure of the worker behind `lane`,
+    /// naming the streams it owned.
+    fn failed(&mut self, lane: usize, message: String) -> PipelineError {
+        let owned: Vec<&str> = (0..N)
+            .filter(|&s| self.local[s].is_none() && self.route[s] == lane)
+            .map(|s| self.stats[s].stream)
+            .collect();
+        let err = PipelineError {
+            worker: format!("grammar worker {lane} ({})", owned.join(", ")),
+            message,
+        };
+        self.failure = Some(err.clone());
+        err
+    }
+
+    /// Test fault hook: ships the worker owning stream `s` a batch
+    /// tagged with a stream nobody owns, which panics that worker.
+    #[cfg(test)]
+    pub(crate) fn inject_worker_panic(&mut self, s: usize) {
+        let mut stats = GrammarStreamStats::default();
+        self.lanes[self.route[s]].ship(u8::MAX, vec![0], &mut stats);
+    }
+}
+
+impl<const N: usize> Drop for Streams<N> {
+    fn drop(&mut self) {
+        // Unblock and reap the workers if `into_grammars` never ran.
+        for lane in &mut self.lanes {
+            drop(lane.tx.take());
+        }
+        for handle in self.workers.iter_mut().filter_map(Option::take) {
             let _ = handle.join();
         }
     }
@@ -472,10 +646,7 @@ impl Drop for PipelinedWhomp {
 /// baseline — no object translation is involved.
 #[derive(Debug)]
 pub struct PipelinedRasg {
-    pending: Vec<u64>,
-    stats: GrammarStreamStats,
-    lane: SymbolLane,
-    worker: Option<JoinHandle<Vec<WorkerStream>>>,
+    records: Streams<1>,
     accesses: u64,
 }
 
@@ -488,25 +659,11 @@ impl PipelinedRasg {
     /// Panics if the worker thread cannot be spawned.
     #[must_use]
     pub fn spawn() -> Self {
-        let (lane, handle) = spawn_grammar_worker(0, vec![(0, Sequitur::new())]);
+        let batches = (SYMBOL_BATCH, QUEUE_BATCHES);
         PipelinedRasg {
-            pending: Vec::with_capacity(SYMBOL_BATCH),
-            stats: GrammarStreamStats {
-                stream: "records",
-                ..GrammarStreamStats::default()
-            },
-            lane,
-            worker: Some(handle),
+            records: Streams::spawn([Sequitur::new()], ["records"], 1, 1, batches),
             accesses: 0,
         }
-    }
-
-    fn flush(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.pending);
-        self.pending = self.lane.ship(0, batch, &mut self.stats);
     }
 
     /// Flushes remaining records, shuts the worker down and returns
@@ -515,60 +672,22 @@ impl PipelinedRasg {
     /// # Errors
     ///
     /// Returns a [`PipelineError`] when the grammar worker panicked.
-    pub fn try_join(mut self) -> Result<(RasgProfiler, GrammarPipelineStats), PipelineError> {
-        self.flush();
-        drop(self.lane.tx.take());
-        let mut streams = join_grammar_workers(self.worker.take().into_iter().collect())?;
-        let ws = streams.pop().expect("the RASG worker owns one stream");
-        let mut stats = self.stats;
-        stats.busy_ns = ws.busy_ns;
-        Ok((
-            RasgProfiler {
-                records: ws.seq,
-                accesses: self.accesses,
-            },
-            GrammarPipelineStats {
-                workers: 1,
-                streams: vec![stats],
-            },
-        ))
+    pub fn try_join(self) -> Result<(RasgProfiler, GrammarPipelineStats), PipelineError> {
+        let ([records], stats) = self.records.into_grammars()?;
+        let accesses = self.accesses;
+        Ok((RasgProfiler { records, accesses }, stats))
     }
 }
 
 impl ProbeSink for PipelinedRasg {
     fn access(&mut self, ev: AccessEvent) {
-        self.pending.push(fuse(ev.instr.0, ev.addr.0));
+        self.records.push([fuse(ev.instr.0, ev.addr.0)]);
         self.accesses += 1;
-        self.stats.symbols += 1;
-        if self.pending.len() >= SYMBOL_BATCH {
-            self.flush();
-        }
     }
 
     fn finish(&mut self) {
-        self.flush();
+        self.records.flush();
     }
-}
-
-impl Drop for PipelinedRasg {
-    fn drop(&mut self) {
-        drop(self.lane.tx.take());
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One hybrid worker's inbound lane: tuple batches instead of symbol
-/// batches (each tuple fans into four grammars *inside* the worker).
-#[derive(Debug)]
-struct TupleLane {
-    tx: Option<SyncSender<Vec<OrTuple>>>,
-    recycled: Receiver<Vec<OrTuple>>,
-    pending: Vec<OrTuple>,
-    batches: u64,
-    stalls: u64,
-    tuples: u64,
 }
 
 /// [`HybridProfiler`] with grammar construction spread over `workers`
@@ -580,8 +699,12 @@ struct TupleLane {
 /// collection pipeline, applied to the grammar stage.
 #[derive(Debug)]
 pub struct PipelinedHybrid {
-    lanes: Vec<TupleLane>,
-    workers: Vec<JoinHandle<(HybridProfiler, u64)>>,
+    lanes: Vec<Lane<HybridWorker>>,
+    /// Per-lane tuple batch under construction.
+    pending: Vec<Vec<OrTuple>>,
+    /// Per-lane feed totals (`symbols` counts tuples).
+    stats: Vec<GrammarStreamStats>,
+    workers: Vec<JoinHandle<HybridWorker>>,
 }
 
 impl PipelinedHybrid {
@@ -593,65 +716,23 @@ impl PipelinedHybrid {
     #[must_use]
     pub fn spawn(workers: usize) -> Self {
         assert!(workers > 0, "at least one grammar worker is required");
-        let mut lanes = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-            let (recycle_tx, recycle_rx) = mpsc::sync_channel::<Vec<OrTuple>>(QUEUE_BATCHES);
-            let handle = thread::Builder::new()
-                .name(format!("orp-grammar-{i}"))
-                .spawn(move || {
-                    let mut sink = HybridProfiler::new();
-                    let mut busy_ns = 0u64;
-                    while let Ok(batch) = rx.recv() {
-                        let start = Instant::now();
-                        sink.tuple_batch(&batch);
-                        busy_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        let mut spent = batch;
-                        spent.clear();
-                        let _ = recycle_tx.try_send(spent);
-                    }
-                    (sink, busy_ns)
-                })
-                .expect("spawn grammar worker");
-            lanes.push(TupleLane {
-                tx: Some(tx),
-                recycled: recycle_rx,
-                pending: Vec::with_capacity(SYMBOL_BATCH),
-                batches: 0,
-                stalls: 0,
-                tuples: 0,
-            });
-            handles.push(handle);
-        }
+        let (lanes, handles) = (0..workers)
+            .map(|i| spawn_worker(i, HybridWorker::default(), QUEUE_BATCHES))
+            .unzip();
         PipelinedHybrid {
             lanes,
+            pending: (0..workers)
+                .map(|_| Vec::with_capacity(SYMBOL_BATCH))
+                .collect(),
+            stats: vec![GrammarStreamStats::default(); workers],
             workers: handles,
         }
     }
 
-    fn flush_lane(lane: &mut TupleLane) {
-        if lane.pending.is_empty() {
-            return;
-        }
-        let fresh = lane
-            .recycled
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(SYMBOL_BATCH));
-        let batch = std::mem::replace(&mut lane.pending, fresh);
-        let Some(tx) = &lane.tx else {
-            return;
-        };
-        match tx.try_send(batch) {
-            Ok(()) => lane.batches += 1,
-            Err(TrySendError::Full(batch)) => {
-                lane.stalls += 1;
-                match tx.send(batch) {
-                    Ok(()) => lane.batches += 1,
-                    Err(mpsc::SendError(_)) => lane.tx = None,
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => lane.tx = None,
+    fn flush_lane(&mut self, lane: usize) {
+        if !self.pending[lane].is_empty() {
+            let batch = std::mem::take(&mut self.pending[lane]);
+            self.pending[lane] = self.lanes[lane].ship(0, batch, &mut self.stats[lane]);
         }
     }
 
@@ -664,38 +745,27 @@ impl PipelinedHybrid {
     /// Returns a [`PipelineError`] naming the worker when a grammar
     /// worker panicked.
     pub fn try_join(mut self) -> Result<(HybridProfiler, GrammarPipelineStats), PipelineError> {
+        self.finish();
         for lane in &mut self.lanes {
-            Self::flush_lane(lane);
             drop(lane.tx.take());
         }
         let mut parts = Vec::with_capacity(self.workers.len());
         let mut busy_ns = 0u64;
-        let mut first_error: Option<PipelineError> = None;
         for (i, handle) in self.workers.drain(..).enumerate() {
-            match handle.join() {
-                Ok((sink, busy)) => {
-                    parts.push(sink);
-                    busy_ns += busy;
-                }
-                Err(payload) => {
-                    let err = PipelineError {
-                        worker: format!("grammar worker {i}"),
-                        message: panic_message(payload),
-                    };
-                    first_error.get_or_insert(err);
-                }
-            }
-        }
-        if let Some(err) = first_error {
-            return Err(err);
+            let worker = handle.join().map_err(|payload| PipelineError {
+                worker: format!("grammar worker {i}"),
+                message: panic_message(payload),
+            })?;
+            parts.push(worker.sink);
+            busy_ns += worker.busy_ns;
         }
         let stats = GrammarPipelineStats {
             workers: self.lanes.len() as u64,
             streams: vec![GrammarStreamStats {
                 stream: "instructions",
-                symbols: self.lanes.iter().map(|l| l.tuples).sum(),
-                batches: self.lanes.iter().map(|l| l.batches).sum(),
-                stalls: self.lanes.iter().map(|l| l.stalls).sum(),
+                symbols: self.stats.iter().map(|s| s.symbols).sum(),
+                batches: self.stats.iter().map(|s| s.batches).sum(),
+                stalls: self.stats.iter().map(|s| s.stalls).sum(),
                 busy_ns,
             }],
         };
@@ -705,18 +775,17 @@ impl PipelinedHybrid {
 
 impl OrSink for PipelinedHybrid {
     fn tuple(&mut self, t: &OrTuple) {
-        let lane_idx = (HybridProfiler::shard_key(t) % self.lanes.len() as u64) as usize;
-        let lane = &mut self.lanes[lane_idx];
-        lane.tuples += 1;
-        lane.pending.push(*t);
-        if lane.pending.len() >= SYMBOL_BATCH {
-            Self::flush_lane(lane);
+        let lane = (HybridProfiler::shard_key(t) % self.lanes.len() as u64) as usize;
+        self.stats[lane].symbols += 1;
+        self.pending[lane].push(*t);
+        if self.pending[lane].len() >= SYMBOL_BATCH {
+            self.flush_lane(lane);
         }
     }
 
     fn finish(&mut self) {
-        for lane in &mut self.lanes {
-            Self::flush_lane(lane);
+        for lane in 0..self.lanes.len() {
+            self.flush_lane(lane);
         }
     }
 }
@@ -729,77 +798,5 @@ impl Drop for PipelinedHybrid {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A dead grammar worker must not take the feed side with it: the
-    /// lane goes quiet (batches drop), later ships stay panic-free, and
-    /// the panic surfaces at join as a named [`PipelineError`]. This is
-    /// the same containment contract the sharded pipeline's salvage
-    /// path provides — see the module docs for why the grammar itself
-    /// is not salvageable.
-    #[test]
-    fn dead_worker_is_contained_and_named_at_join() {
-        let (mut lane, handle) = spawn_grammar_worker(0, vec![(0, Sequitur::new())]);
-        let mut stats = GrammarStreamStats {
-            stream: "records",
-            ..GrammarStreamStats::default()
-        };
-
-        // Stream 7 is not owned by this worker: the routing `expect`
-        // inside the worker loop panics it.
-        lane.ship(7, vec![1, 2, 3], &mut stats);
-
-        // The feed side keeps shipping into the dying lane without
-        // panicking or deadlocking; once the hangup is observed the
-        // lane is marked dead and batches are dropped.
-        for _ in 0..64 {
-            lane.ship(0, vec![4, 5], &mut stats);
-        }
-
-        drop(lane.tx.take());
-        let err = join_grammar_workers(vec![handle]).expect_err("worker panicked");
-        assert_eq!(err.worker, "grammar worker 0");
-        assert!(
-            err.message.contains("does not own its stream"),
-            "panic payload lost: {}",
-            err.message
-        );
-    }
-
-    /// Healthy path through the raw worker primitives: everything
-    /// shipped arrives, buffers recycle, and join returns the grammar.
-    #[test]
-    fn worker_builds_the_same_grammar_as_inline_push() {
-        let symbols: Vec<u64> = (0..200u64).map(|i| i % 7).collect();
-        let mut reference = Sequitur::new();
-        reference.push_batch(&symbols);
-
-        let (mut lane, handle) = spawn_grammar_worker(0, vec![(3, Sequitur::new())]);
-        let mut stats = GrammarStreamStats {
-            stream: "records",
-            ..GrammarStreamStats::default()
-        };
-        let mut buf = Vec::new();
-        for chunk in symbols.chunks(9) {
-            buf.clear();
-            buf.extend_from_slice(chunk);
-            buf = lane.ship(3, std::mem::take(&mut buf), &mut stats);
-        }
-        drop(lane.tx.take());
-        let streams = join_grammar_workers(vec![handle]).expect("healthy worker");
-        assert_eq!(streams.len(), 1);
-        assert_eq!(streams[0].stream, 3);
-        assert_eq!(stats.batches, symbols.chunks(9).len() as u64);
-
-        let mut got = Vec::new();
-        streams[0].seq.save_state(&mut got).unwrap();
-        let mut want = Vec::new();
-        reference.save_state(&mut want).unwrap();
-        assert_eq!(got, want);
     }
 }

@@ -22,35 +22,31 @@ impl SessionSink for WhompProfiler {
     const STATE_NAME: &'static str = "whomp-omsg";
 
     fn save_state(&self, w: &mut impl Write) -> io::Result<()> {
-        write_varint(w, self.tuples)?;
-        self.instr.save_state(w)?;
-        self.group.save_state(w)?;
-        self.object.save_state(w)?;
-        self.offset.save_state(w)
+        self.try_drained(|grammars, _| {
+            write_varint(w, self.tuples)?;
+            for seq in grammars {
+                seq.save_state(w)?;
+            }
+            Ok(())
+        })?
     }
 
     fn restore_state(r: &mut impl Read) -> io::Result<Self> {
         let tuples = read_varint(r)?;
-        let instr = Sequitur::restore_state(r)?;
-        let group = Sequitur::restore_state(r)?;
-        let object = Sequitur::restore_state(r)?;
-        let offset = Sequitur::restore_state(r)?;
-        for s in [&instr, &group, &object, &offset] {
-            if s.input_len() != tuples {
-                return Err(bad_data("dimension stream length disagrees with tuples"));
-            }
+        let grammars = [
+            Sequitur::restore_state(r)?,
+            Sequitur::restore_state(r)?,
+            Sequitur::restore_state(r)?,
+            Sequitur::restore_state(r)?,
+        ];
+        if grammars.iter().any(|s| s.input_len() != tuples) {
+            return Err(bad_data("dimension stream length disagrees with tuples"));
         }
-        Ok(WhompProfiler {
-            instr,
-            group,
-            object,
-            offset,
-            tuples,
-        })
+        Ok(WhompProfiler::from_grammars(grammars, tuples))
     }
 
     fn finalize_profile(self, w: &mut impl Write) -> io::Result<()> {
-        self.into_omsg().write_to(w)
+        self.try_into_omsg()?.write_to(w)
     }
 }
 
@@ -96,6 +92,11 @@ mod tests {
             first.feed(&events[..cut]);
             let mut snapshot = Vec::new();
             first.checkpoint(&mut snapshot).unwrap();
+            // The drained profiler keeps collecting after a checkpoint.
+            first.feed(&events[cut..]);
+            let mut continued = Vec::new();
+            first.finalize(&mut continued).unwrap();
+            assert_eq!(continued, reference, "continued past {cut}");
 
             let mut resumed = Session::<WhompProfiler>::resume(&mut snapshot.as_slice())
                 .unwrap_or_else(|e| panic!("resume at {cut}: {e}"));

@@ -8,21 +8,26 @@
 //! ```
 //!
 //! The models drive the real pipeline code — `orp_core::sync` resolves
-//! to loom's instrumented channels and threads, and the batch/queue
-//! constants shrink to 2/1 so a handful of symbols crosses every
-//! boundary. Checked under *all* interleavings: feed → flush → drop
-//! senders → join reassembles a profiler whose serialized state is
-//! byte-identical to sequential construction.
+//! to loom's instrumented channels and threads, the WHOMP column batch
+//! and the queue depth shrink to 2/1 so a handful of tuples crosses
+//! every boundary, and `WhompProfiler::new()` always spawns one grammar
+//! worker. Checked under *all* interleavings: feed → `save_state`
+//! drain → feed → `finish` → finalize produces checkpoint state and
+//! profile bytes identical to four bare Sequiturs fed tuple by tuple
+//! (built outside the model, since the profiler itself spawns
+//! threads).
 
 #![cfg(loom)]
 
 use orp_core::{GroupId, ObjectSerial, OrSink, OrTuple, SessionSink, Timestamp};
+use orp_format::write_varint;
+use orp_sequitur::Sequitur;
 use orp_trace::{AccessEvent, AccessKind, InstrId, ProbeSink, RawAddress};
-use orp_whomp::{PipelinedRasg, PipelinedWhomp, RasgProfiler, WhompProfiler};
+use orp_whomp::{Omsg, PipelinedRasg, RasgProfiler, WhompProfiler};
 
-/// Three tuples: with the loom-sized symbol batch of 2, each dimension
-/// stream flushes once mid-feed and once more at `finish`, so the model
-/// exercises both the flush path and the finalize drain.
+/// Three tuples: with the loom-sized column batch of 2, the model
+/// drains mid-batch after the first tuple, flushes a full batch on the
+/// second, and drains a partial one again at `finish`.
 fn tuples() -> Vec<OrTuple> {
     (0..3u64)
         .map(|t| OrTuple {
@@ -37,33 +42,57 @@ fn tuples() -> Vec<OrTuple> {
         .collect()
 }
 
+/// The four dimension grammars of `tuples`, built inline.
+fn inline_grammars(tuples: &[OrTuple]) -> [Sequitur; 4] {
+    let mut dims: [Sequitur; 4] = Default::default();
+    for t in tuples {
+        dims[0].push(u64::from(t.instr.0));
+        dims[1].push(u64::from(t.group.0));
+        dims[2].push(t.object.0);
+        dims[3].push(t.offset);
+    }
+    dims
+}
+
 #[test]
-fn grammar_worker_feed_drain_finalize_matches_sequential_under_all_schedules() {
+fn whomp_feed_drain_finish_finalize_matches_inline_under_all_schedules() {
     let tuples = tuples();
 
-    let mut sequential = WhompProfiler::new();
-    for t in &tuples {
-        sequential.tuple(t);
+    let mut expected_state = Vec::new();
+    write_varint(&mut expected_state, 1).expect("state bytes");
+    for seq in inline_grammars(&tuples[..1]) {
+        seq.save_state(&mut expected_state).expect("state bytes");
     }
-    let mut expected = Vec::new();
-    sequential.save_state(&mut expected).expect("state bytes");
+    let [instr, group, object, offset] = inline_grammars(&tuples);
+    let mut expected_profile = Vec::new();
+    Omsg::from_parts(
+        instr.grammar(),
+        group.grammar(),
+        object.grammar(),
+        offset.grammar(),
+        tuples.len() as u64,
+    )
+    .write_to(&mut expected_profile)
+    .expect("container bytes");
 
     loom::model(move || {
-        let mut pipe = PipelinedWhomp::spawn(1);
-        for t in &tuples {
-            pipe.tuple(t);
-        }
-        pipe.finish();
-        let (profiler, stats) = pipe.try_join().expect("pipeline healthy");
-        let mut produced = Vec::new();
-        profiler.save_state(&mut produced).expect("state bytes");
+        let mut profiler = WhompProfiler::new();
+        profiler.tuple(&tuples[0]);
+        let mut state = Vec::new();
+        profiler.save_state(&mut state).expect("drain");
         assert_eq!(
-            produced, expected,
-            "grammar state must be schedule-independent"
+            state, expected_state,
+            "checkpoint state must be schedule-independent"
         );
+        for t in &tuples[1..] {
+            profiler.tuple(t);
+        }
+        profiler.finish();
+        let mut produced = Vec::new();
+        profiler.finalize_profile(&mut produced).expect("finalize");
         assert_eq!(
-            stats.streams.iter().map(|s| s.symbols).sum::<u64>(),
-            4 * tuples.len() as u64
+            produced, expected_profile,
+            "profile must be schedule-independent"
         );
     });
     assert!(

@@ -1,20 +1,26 @@
-//! Differential tests: the pipelined grammar profilers must produce
+//! Differential tests: the concurrent grammar profilers must produce
 //! byte-identical output to sequential construction — container bytes,
-//! checkpoint state, and across a checkpoint/resume that crosses the
-//! grammar-worker boundary.
+//! checkpoint state, and across a checkpoint/resume. The WHOMP
+//! reference is four bare Sequiturs fed tuple by tuple, the inline
+//! path the default `WhompProfiler` replaced.
 
-use orp_core::{Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, Session, SessionSink, Timestamp};
+use orp_core::{
+    Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, SessionSink, Timestamp, VecOrSink,
+};
+use orp_format::write_varint;
+use orp_obs::StatsRecorder;
+use orp_sequitur::Sequitur;
 use orp_trace::{
     AccessEvent, AccessKind, AllocEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress,
 };
 use orp_whomp::{
-    HybridProfiler, PipelinedHybrid, PipelinedRasg, PipelinedWhomp, RasgProfiler, WhompProfiler,
+    HybridProfiler, Omsg, PipelinedHybrid, PipelinedRasg, RasgProfiler, WhompProfiler,
 };
 use proptest::prelude::*;
 
-/// A probe script long enough to cross several symbol-batch boundaries
-/// (the non-loom batch is 8192 symbols) with repetitive structure the
-/// grammars actually compress.
+/// A probe script long enough to cross many batch boundaries (8192
+/// symbols for RASG and hybrid, 512 tuples for WHOMP) with repetitive
+/// structure the grammars actually compress.
 fn probe_events() -> Vec<ProbeEvent> {
     let mut events = Vec::new();
     for k in 0..64u64 {
@@ -43,36 +49,70 @@ fn drive(sink: &mut impl ProbeSink, events: &[ProbeEvent]) {
     sink.finish();
 }
 
-#[test]
-fn pipelined_whomp_omsg_bytes_match_sequential() {
-    let events = probe_events();
-
-    let mut inline = Cdc::new(Omc::new(), WhompProfiler::new());
-    drive(&mut inline, &events);
-    let mut reference = Vec::new();
-    let (_, profiler) = inline.into_parts();
-    profiler.into_omsg().write_to(&mut reference).unwrap();
-
-    for workers in [1, 2, 3, 4, 8] {
-        let mut cdc = Cdc::new(Omc::new(), PipelinedWhomp::spawn(workers));
-        drive(&mut cdc, &events);
-        let (_, pipe) = cdc.into_parts();
-        let (profiler, stats) = pipe.try_join().expect("pipeline healthy");
-        let mut produced = Vec::new();
-        profiler.into_omsg().write_to(&mut produced).unwrap();
-        assert_eq!(produced, reference, "{workers} workers");
-
-        assert_eq!(stats.workers, workers.min(4) as u64);
-        assert_eq!(stats.streams.len(), 4, "one stream per OMSG dimension");
-        for s in &stats.streams {
-            assert_eq!(
-                s.symbols, 25_600,
-                "stream {} must count every collected tuple",
-                s.stream
-            );
-            assert!(s.batches > 0, "stream {} never flushed", s.stream);
-        }
+/// The four dimension grammars built inline, tuple by tuple.
+fn inline_grammars(tuples: &[OrTuple]) -> [Sequitur; 4] {
+    let mut dims: [Sequitur; 4] = Default::default();
+    for t in tuples {
+        dims[0].push(u64::from(t.instr.0));
+        dims[1].push(u64::from(t.group.0));
+        dims[2].push(t.object.0);
+        dims[3].push(t.offset);
     }
+    dims
+}
+
+/// `WhompProfiler::save_state`'s layout over inline grammars.
+fn inline_state(tuples: &[OrTuple]) -> Vec<u8> {
+    let mut state = Vec::new();
+    write_varint(&mut state, tuples.len() as u64).unwrap();
+    for seq in inline_grammars(tuples) {
+        seq.save_state(&mut state).unwrap();
+    }
+    state
+}
+
+/// The OMSG container of inline grammars.
+fn inline_omsg(tuples: &[OrTuple]) -> Vec<u8> {
+    let [instr, group, object, offset] = inline_grammars(tuples);
+    let omsg = Omsg::from_parts(
+        instr.grammar(),
+        group.grammar(),
+        object.grammar(),
+        offset.grammar(),
+        tuples.len() as u64,
+    );
+    let mut bytes = Vec::new();
+    omsg.write_to(&mut bytes).unwrap();
+    bytes
+}
+
+fn collected_tuples(events: &[ProbeEvent]) -> Vec<OrTuple> {
+    let mut cdc = Cdc::new(Omc::new(), VecOrSink::new());
+    drive(&mut cdc, events);
+    cdc.into_parts().1.into_tuples()
+}
+
+#[test]
+fn default_whomp_omsg_bytes_match_inline_sequiturs() {
+    let events = probe_events();
+    let reference = inline_omsg(&collected_tuples(&events));
+
+    let mut cdc = Cdc::new(Omc::new(), WhompProfiler::new());
+    drive(&mut cdc, &events);
+    let profiler = cdc.into_parts().1;
+    let mut rec = StatsRecorder::default();
+    profiler.record_grammar_metrics(&mut rec);
+    let mut produced = Vec::new();
+    profiler.finalize_profile(&mut produced).unwrap();
+    assert_eq!(produced, reference);
+
+    // Every dimension reports its batches, the offset dimension
+    // included (it grows on the collection thread).
+    for dim in ["instruction", "group", "object", "offset"] {
+        let batches = rec.counter_value(&format!("grammar.batches.{dim}"));
+        assert_eq!(batches, 50, "25 600 tuples in 512-tuple batches ({dim})");
+    }
+    assert!(rec.counters().contains_key("grammar.workers"));
 }
 
 #[test]
@@ -121,66 +161,6 @@ fn pipelined_hybrid_bytes_match_sequential() {
     }
 }
 
-/// The satellite case: checkpoint a sequential run, resume it *onto*
-/// grammar workers, and the rejoined profiler must be state- and
-/// container-identical to an uninterrupted (and to a sequentially
-/// resumed) run.
-#[test]
-fn checkpoint_resume_crosses_the_grammar_worker_boundary() {
-    let events = probe_events();
-    let cut = events.len() / 2;
-
-    let mut uninterrupted = Session::new(WhompProfiler::new());
-    uninterrupted.feed(&events);
-    let mut reference = Vec::new();
-    uninterrupted.finalize(&mut reference).unwrap();
-
-    let mut first = Session::new(WhompProfiler::new());
-    first.feed(&events[..cut]);
-    let mut snapshot = Vec::new();
-    first.checkpoint(&mut snapshot).unwrap();
-
-    // Sequential resume: the state-level reference for the tail.
-    let mut resumed = Session::<WhompProfiler>::resume(&mut snapshot.as_slice()).unwrap();
-    resumed.feed(&events[cut..]);
-    let mut sequential_state = Vec::new();
-    resumed
-        .into_cdc()
-        .sink()
-        .save_state(&mut sequential_state)
-        .unwrap();
-
-    // Pipelined resume: unpack the restored session, wrap the profiler
-    // in grammar workers, drive the tail, rejoin — the same dance the
-    // CLI performs for `run --resume --grammar-workers N`.
-    for workers in [1, 2, 4] {
-        let session = Session::<WhompProfiler>::resume(&mut snapshot.as_slice()).unwrap();
-        let cdc = session.into_cdc();
-        let (time, untracked, anomalies) = (cdc.time(), cdc.untracked(), cdc.probe_anomalies());
-        let (omc, profiler) = cdc.into_parts();
-        let mut cdc = Cdc::from_parts(
-            omc,
-            PipelinedWhomp::from_profiler(profiler, workers),
-            time,
-            untracked,
-            anomalies,
-        );
-        drive(&mut cdc, &events[cut..]);
-        let (time, untracked, anomalies) = (cdc.time(), cdc.untracked(), cdc.probe_anomalies());
-        let (omc, pipe) = cdc.into_parts();
-        let (profiler, _) = pipe.try_join().expect("pipeline healthy");
-
-        let mut state = Vec::new();
-        profiler.save_state(&mut state).unwrap();
-        assert_eq!(state, sequential_state, "state drift at {workers} workers");
-
-        let rebuilt = Cdc::from_parts(omc, profiler, time, untracked, anomalies);
-        let mut produced = Vec::new();
-        Session::from_cdc(rebuilt).finalize(&mut produced).unwrap();
-        assert_eq!(produced, reference, "container drift at {workers} workers");
-    }
-}
-
 fn arb_tuple_parts() -> impl Strategy<Value = (u8, u8, u8, u8)> {
     (0u8..8, 0u8..3, 0u8..10, 0u8..6)
 }
@@ -204,31 +184,31 @@ fn stream(parts: &[(u8, u8, u8, u8)]) -> Vec<OrTuple> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary tuple streams: the pipelined profiler's full internal
-    /// state (not just the finished grammar) must match sequential
-    /// construction byte for byte.
+    /// Arbitrary tuple streams, read mid-stream and at the end: the
+    /// default profiler's full internal state (not just the finished
+    /// grammar) must match inline construction byte for byte.
     #[test]
-    fn pipelined_whomp_state_matches_sequential_on_arbitrary_streams(
-        parts in proptest::collection::vec(arb_tuple_parts(), 0..300)
+    fn default_whomp_state_matches_inline_on_arbitrary_streams(
+        parts in proptest::collection::vec(arb_tuple_parts(), 0..1500),
+        cut in 0usize..1500,
     ) {
         let tuples = stream(&parts);
+        let cut = cut.min(tuples.len());
 
-        let mut sequential = WhompProfiler::new();
-        for t in &tuples {
-            sequential.tuple(t);
+        let mut profiler = WhompProfiler::new();
+        for t in &tuples[..cut] {
+            profiler.tuple(t);
         }
-        let mut reference = Vec::new();
-        sequential.save_state(&mut reference).unwrap();
+        let mut mid = Vec::new();
+        profiler.save_state(&mut mid).unwrap();
+        prop_assert_eq!(mid, inline_state(&tuples[..cut]));
 
-        let mut pipe = PipelinedWhomp::spawn(3);
-        for t in &tuples {
-            pipe.tuple(t);
+        for t in &tuples[cut..] {
+            profiler.tuple(t);
         }
-        pipe.finish();
-        let (profiler, stats) = pipe.try_join().expect("pipeline healthy");
+        profiler.finish();
         let mut produced = Vec::new();
         profiler.save_state(&mut produced).unwrap();
-        prop_assert_eq!(produced, reference);
-        prop_assert_eq!(stats.streams.iter().map(|s| s.symbols).sum::<u64>(), 4 * tuples.len() as u64);
+        prop_assert_eq!(produced, inline_state(&tuples));
     }
 }

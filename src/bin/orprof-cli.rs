@@ -8,7 +8,7 @@
 //! orprof-cli run --from-trace gzip.orpt --profiler leap --out gzip.orp
 //! orprof-cli run --from-trace rest.orpt --resume ckpt.orp --profiler leap
 //! orprof-cli run --workload micro.matrix --profiler leap --shards 4
-//! orprof-cli run --workload micro.matrix --profiler whomp --grammar-workers 4
+//! orprof-cli run --workload micro.matrix --profiler hybrid --grammar-workers 4
 //! orprof-cli run --workload micro.matrix --profiler whomp --stats --metrics-out m.json
 //! orprof-cli record --workload 164.gzip --out gzip.orpt
 //! orprof-cli optimize --workload micro.linked-list --plan-out ll.plan.orp --stats
@@ -62,8 +62,8 @@ use orprof::phase::PhaseDetector;
 use orprof::sequitur::Grammar;
 use orprof::trace::{AccessEvent, AllocEvent, CountingSink, FreeEvent, ProbeSink};
 use orprof::whomp::{
-    HybridProfile, HybridProfiler, Omsg, PipelinedHybrid, PipelinedRasg, PipelinedWhomp, Rasg,
-    RasgProfiler, WhompProfiler,
+    HybridProfile, HybridProfiler, Omsg, PipelinedHybrid, PipelinedRasg, Rasg, RasgProfiler,
+    WhompProfiler,
 };
 use orprof::workloads::{micro_suite, spec_suite, RunConfig, Tracer, Workload};
 
@@ -805,54 +805,6 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
     }
 }
 
-/// Runs WHOMP with grammar construction on `workers` pipelined grammar
-/// workers: collection and translation stay on this thread while the
-/// four dimension grammars grow concurrently. `--resume` unpacks the
-/// checkpointed profiler onto the workers; `--checkpoint` is rejected
-/// because the profiler is split across threads mid-run.
-fn run_whomp_pipelined(
-    parsed: &Parsed,
-    ctx: &mut IoCtx,
-    workers: usize,
-    sampler: Sampler,
-    rec: &mut StatsRecorder,
-) -> Result<(WhompProfiler, DriveOutcome), String> {
-    if parsed.value("--checkpoint").is_some() {
-        return Err("--checkpoint requires an inline grammar (omit --grammar-workers)".to_owned());
-    }
-    let mut cdc = match parsed.value("--resume") {
-        Some(path) => {
-            let mut reader = ctx.open_reader(path)?;
-            let session = Session::<WhompProfiler>::resume(&mut reader)
-                .map_err(|e| format!("resume {path}: {e}"))?;
-            ctx.harvest_reader(&reader);
-            println!("resumed from checkpoint {path}");
-            let cdc = session.into_cdc();
-            let (time, untracked, anomalies) = (cdc.time(), cdc.untracked(), cdc.probe_anomalies());
-            // A sampled checkpoint's admission state must survive the
-            // profiler swap, or the resumed half would silently revert
-            // to full collection.
-            let restored = cdc.sampler().clone();
-            let (omc, profiler) = cdc.into_parts();
-            let mut cdc = Cdc::from_parts(
-                omc,
-                PipelinedWhomp::from_profiler(profiler, workers),
-                time,
-                untracked,
-                anomalies,
-            );
-            cdc.set_sampler(restored);
-            cdc
-        }
-        None => Cdc::with_sampler(Omc::new(), PipelinedWhomp::spawn(workers), sampler),
-    };
-    let outcome = drive(parsed, ctx, &mut cdc)?;
-    cdc.record_metrics(rec);
-    let (profiler, gstats) = cdc.into_parts().1.try_join().map_err(|e| e.to_string())?;
-    gstats.record_metrics(rec);
-    Ok((profiler, outcome))
-}
-
 fn absorb_trace_io(rec: &mut StatsRecorder, outcome: &DriveOutcome) {
     if let Some(io) = outcome.trace_io {
         rec.counter("trace.read_chunks", io.chunks);
@@ -979,9 +931,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         Ok(())
     };
-    // 0 = build grammars inline on the collection thread (the
-    // sequential default); N > 0 moves construction onto N pipelined
-    // grammar workers (see DESIGN.md §13).
+    // rasg and hybrid: 0 = build grammars inline on the collection
+    // thread (the default); N > 0 moves construction onto N pipelined
+    // grammar workers. whomp always builds its dimension grammars
+    // concurrently (see DESIGN.md §13).
     let grammar_workers: usize = match parsed.value("--grammar-workers") {
         Some(s) => s.parse().map_err(|_| "bad --grammar-workers")?,
         None => 0,
@@ -1025,12 +978,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     report.shards = shards as u64;
 
     let profile_bytes = match profiler.as_str() {
+        "leap" | "whomp" if grammar_workers > 0 => {
+            return Err("--grammar-workers applies to rasg and hybrid; leap builds \
+                        no grammars and whomp sizes its own grammar workers"
+                .to_owned());
+        }
         "leap" => {
-            if grammar_workers > 0 {
-                return Err("--grammar-workers applies to the grammar profilers \
-                            (whomp, rasg, hybrid); leap builds no grammars"
-                    .to_owned());
-            }
             let (session, outcome, pstats, ctrl) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| LeapProfiler::new())?;
             controller = ctrl;
@@ -1059,26 +1012,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
         "whomp" => {
             no_shards("whomp's global grammars")?;
-            let profiler = if grammar_workers > 0 {
-                let (p, outcome) = run_whomp_pipelined(
-                    &parsed,
-                    &mut ctx,
-                    grammar_workers,
-                    sampler_for(sample),
-                    &mut rec,
-                )?;
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                p
-            } else {
-                let (session, outcome, ctrl) =
-                    run_session(&parsed, &mut ctx, sample, WhompProfiler::new)?;
-                controller = ctrl;
-                session.record_metrics(&mut rec);
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                session.into_cdc().into_parts().1
-            };
+            let (session, outcome, ctrl) =
+                run_session(&parsed, &mut ctx, sample, WhompProfiler::new)?;
+            controller = ctrl;
+            session.record_metrics(&mut rec);
+            report.events = outcome.events;
+            absorb_trace_io(&mut rec, &outcome);
+            let profiler = session.into_cdc().into_parts().1;
             profiler.record_grammar_metrics(&mut rec);
             let omsg = profiler.into_omsg();
             println!(

@@ -566,11 +566,9 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
                 "--workload",
                 "micro.matrix",
                 "--profiler",
-                "whomp",
+                "hybrid",
                 "--out",
                 out_path.to_str().unwrap(),
-                "--metrics-out",
-                json.to_str().unwrap(),
             ])
             .args(extra)
             .output()
@@ -586,13 +584,95 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
         std::fs::read(&pipe).unwrap(),
         "pipelined grammar construction must not change the profile"
     );
+
+    // WHOMP builds its dimension grammars concurrently by default and
+    // reports every dimension, the collection-thread offset included.
+    let out = cli()
+        .args([
+            "run",
+            "--workload",
+            "micro.matrix",
+            "--profiler",
+            "whomp",
+            "--metrics-out",
+            json.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let doc = std::fs::read_to_string(&json).unwrap();
-    assert!(doc.contains("grammar.workers"), "{doc}");
-    assert!(doc.contains("grammar.rules.offset"), "{doc}");
-    assert!(doc.contains("grammar.symbols.instruction"), "{doc}");
-    assert!(doc.contains("grammar.batches.object"), "{doc}");
-    assert!(doc.contains("grammar.worker_busy_ns.group"), "{doc}");
+    for key in [
+        "grammar.workers",
+        "grammar.rules.offset",
+        "grammar.symbols.instruction",
+        "grammar.batches.object",
+        "grammar.worker_busy_ns.group",
+        "grammar.batches.offset",
+        "grammar.stalls.offset",
+        "grammar.worker_busy_ns.offset",
+    ] {
+        assert!(doc.contains(key), "{key} missing: {doc}");
+    }
     for p in [&seq, &pipe, &json] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn whomp_checkpoints_and_resumes_while_concurrent() {
+    let ckpt = tmp("whomp-ckpt.orp");
+    let first = tmp("whomp-resumed-1.orp");
+    let second = tmp("whomp-resumed-2.orp");
+    let out = cli()
+        .args([
+            "run",
+            "--workload",
+            "micro.linked_list",
+            "--profiler",
+            "whomp",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for resumed in [&first, &second] {
+        let out = cli()
+            .args([
+                "run",
+                "--workload",
+                "micro.linked_list",
+                "--profiler",
+                "whomp",
+                "--resume",
+                ckpt.to_str().unwrap(),
+                "--out",
+                resumed.to_str().unwrap(),
+            ])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("resumed from checkpoint"), "{text}");
+    }
+    assert_eq!(
+        std::fs::read(&first).unwrap(),
+        std::fs::read(&second).unwrap(),
+        "a resumed concurrent run must be deterministic"
+    );
+    for p in [&ckpt, &first, &second] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -601,14 +681,7 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
 fn grammar_workers_rejects_incompatible_flag_combinations() {
     for args in [
         &["--profiler", "leap", "--grammar-workers", "2"][..],
-        &[
-            "--profiler",
-            "whomp",
-            "--grammar-workers",
-            "2",
-            "--checkpoint",
-            "x.orp",
-        ][..],
+        &["--profiler", "whomp", "--grammar-workers", "2"][..],
         &[
             "--profiler",
             "hybrid",
