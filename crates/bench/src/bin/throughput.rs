@@ -28,8 +28,8 @@
 //! * **LEAP collection** — the same stream into the LMAD profiler.
 //!
 //! The collection baseline ("single shard") is the **seed-equivalent**
-//! pipeline: a single worker on a bounded channel — `ThreadedCdc` as
-//! the repo shipped it — translating through `Omc::translate_reference`,
+//! pipeline: a single worker on a bounded channel, as the seed shipped
+//! it, translating through `Omc::translate_reference`,
 //! the ordered-map path the seed used. Inline (non-pipelined) reference
 //! and fast-path collectors are reported alongside. Grammar construction (the sink) is identical compression work
 //! in every configuration, so on a single-core host (this harness
@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use orp_bench::InlineOmsg;
 use orp_core::sharded::ShardedCdc;
-use orp_core::{Cdc, Omc, OrSink, OrTuple, Timestamp, VecOrSink};
+use orp_core::{Cdc, Omc, OrSink, OrTuple, Sampler, Timestamp, VecOrSink};
 use orp_leap::LeapProfiler;
 use orp_obs::StatsRecorder;
 use orp_trace::{AccessEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress};
@@ -300,8 +300,8 @@ impl<S: OrSink> ReferenceCdc<S> {
     }
 }
 
-/// The seed's collection pipeline: one worker on a bounded channel —
-/// `ThreadedCdc` as the repo shipped it — with the worker translating
+/// The seed's collection pipeline: one worker on a bounded channel, as
+/// the seed shipped it, with the worker translating
 /// through the `BTreeMap` reference path. This is the "single shard"
 /// the sharded collector is measured against, pipeline for pipeline.
 struct ThreadedReferenceCdc<S> {
@@ -456,7 +456,8 @@ where
         .iter()
         .map(|&shards| {
             Box::new(move || {
-                let mut probe = ShardedCdc::spawn(take(), shards, move |_| make_sink());
+                let mut probe =
+                    ShardedCdc::spawn(take(), Sampler::off(), shards, false, move |_| make_sink());
                 replay(&mut probe, events);
                 let cdc = probe.try_join().expect("pipeline healthy");
                 let collected = cdc.time().0;
@@ -714,7 +715,7 @@ fn main() -> std::process::ExitCode {
             "{{\n",
             "  \"benchmark\": \"throughput\",\n",
             "  \"available_parallelism\": {},\n",
-            "  \"baseline\": \"seed-equivalent single-worker collection pipeline (bounded-channel ThreadedCdc translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
+            "  \"baseline\": \"seed-equivalent single-worker collection pipeline (bounded-channel worker translating via Omc::translate_reference); inline reference and fast-path collectors reported alongside\",\n",
             "  \"note\": \"the whomp_grammar_pipeline section measures end-to-end OMSG grammar mode: the default WhompProfiler (instruction/group/object grammars on min(available_parallelism-1, 3) workers, offset grammar on the collection thread) against four bare Sequiturs fed tuple by tuple; the sharded collection sections isolate the translation/collection stages; on a host with available_parallelism=1 the default profiler has no workers and builds inline by design, so the speedup-over-seed there reflects the serial Sequitur rewrite alone; grammar_pipeline_4_workers_5x_seed keeps its historical name and gates the default profiler\",\n",
             "  \"workload\": {{ \"live_objects\": {}, \"chased_nodes\": {}, \"fields_per_node\": {}, \"timed_events\": {} }},\n",
             "  \"raw_translate\": {{\n",

@@ -65,7 +65,6 @@ mod session;
 pub mod sharded;
 mod sink;
 pub mod sync;
-pub mod threaded;
 
 pub use cdc::Cdc;
 pub use omc::{ObjectRecord, Omc, OmcError, TranslateStats};
@@ -73,7 +72,6 @@ pub use sample::{RateController, SampleStats, Sampler, SamplingPolicy};
 pub use session::{ResumeError, ResumeLedger, Session, SessionSink, SessionStats};
 pub use sharded::{PipelineError, PipelineStats, ShardStats, ShardableSink, ShardedCdc};
 pub use sink::{NullOrSink, OrSink, VecOrSink};
-pub use threaded::FeedStats;
 
 use orp_trace::{AccessKind, InstrId};
 

@@ -1,7 +1,11 @@
 //! The sharded parallel collection pipeline.
 //!
-//! [`ThreadedCdc`](crate::threaded::ThreadedCdc) reproduces the paper's
-//! one-worker architecture; this module generalizes it to N workers:
+//! The paper's implementation note (§3.1) runs the CDC/OMC on another
+//! thread than the instrumented program: "Interactions between the
+//! instrumented program and the CDC/OMC components take place via
+//! thread-to-thread communication". [`ShardedCdc`] is that design,
+//! generalized to N profiler workers. Even at one shard it runs two
+//! threads — the translator plus one worker — where the paper used one:
 //!
 //! ```text
 //! probe side ──batches──▶ translator ──per-shard batches──▶ worker 0
@@ -151,8 +155,8 @@ impl ShardableSink for crate::VecOrSink {
 /// A worker thread of the collection pipeline died by panicking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineError {
-    /// Which thread died: `"translator"`, `"shard 3"`, or
-    /// `"collection worker"` for the single-worker pipeline.
+    /// Which thread died: `"translator"`, `"shard 3"`, or a grammar
+    /// worker named with its streams.
     pub worker: String,
     /// The panic payload, if it was a string.
     pub message: String,
@@ -380,10 +384,10 @@ impl Lane {
 ///
 /// ```
 /// use orp_core::sharded::ShardedCdc;
-/// use orp_core::{Omc, VecOrSink};
+/// use orp_core::{Omc, Sampler, VecOrSink};
 /// use orp_trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
 ///
-/// let mut probe = ShardedCdc::spawn(Omc::new(), 2, |_| VecOrSink::new());
+/// let mut probe = ShardedCdc::spawn(Omc::new(), Sampler::off(), 2, false, |_| VecOrSink::new());
 /// probe.alloc(AllocEvent { site: AllocSiteId(0), base: RawAddress(0x100), size: 16 });
 /// probe.access(AccessEvent::load(InstrId(0), RawAddress(0x108), 8));
 /// let cdc = probe.try_join().unwrap();
@@ -403,57 +407,20 @@ impl<S: ShardableSink> ShardedCdc<S> {
     /// runs the sink built by `make_sink(i)` (all must be identically
     /// configured for the merge to be meaningful).
     ///
-    /// # Panics
+    /// The translator consults `sampler` after each successful
+    /// translation, exactly as an inline [`Cdc`] would, so a fixed-rate
+    /// sampled sharded run is byte-identical to the sampled
+    /// single-threaded run ([`Sampler::off`] collects every access).
     ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn(omc: Omc, shards: usize, make_sink: impl FnMut(usize) -> S) -> Self {
-        Self::spawn_with_sampler(omc, Sampler::off(), shards, make_sink)
-    }
-
-    /// [`ShardedCdc::spawn`] with a sampling front-end: the translator
-    /// consults `sampler` after each successful translation, exactly as
-    /// an inline [`Cdc`] would, so a fixed-rate sampled sharded run is
-    /// byte-identical to the sampled single-threaded run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn_with_sampler(
-        omc: Omc,
-        sampler: Sampler,
-        shards: usize,
-        mut make_sink: impl FnMut(usize) -> S,
-    ) -> Self {
-        assert!(shards > 0, "at least one shard worker is required");
-        let sinks = (0..shards).map(&mut make_sink).collect();
-        Self::launch(
-            Translated {
-                omc,
-                sampler,
-                time: 0,
-                untracked: 0,
-                probe_anomalies: 0,
-                lane_stats: Vec::new(),
-                fallback: None,
-            },
-            Vec::new(),
-            sinks,
-        )
-    }
-
-    /// [`ShardedCdc::spawn`] in graceful-degradation (salvage) mode: a
-    /// panicked shard worker no longer forfeits the run. Tuples the
-    /// dead worker could not accept — its undeliverable batches and
-    /// everything routed to its keys afterwards — are diverted to a
-    /// fallback sink (built by `make_sink(shards)`) that lives in the
-    /// translator, and [`ShardedCdc::try_join_salvage`] merges the
-    /// surviving shards with the fallback instead of failing.
-    ///
-    /// Salvage is best-effort: batches already handed to the worker
-    /// when it died (consumed or sitting in its queue) are lost, so a
-    /// dead lane's keys are generally *partial* in the salvaged
+    /// With `salvage`, a panicked shard worker no longer forfeits the
+    /// run. Tuples the dead worker could not accept — its undeliverable
+    /// batches and everything routed to its keys afterwards — are
+    /// diverted to a fallback sink (built by `make_sink(shards)`) that
+    /// lives in the translator, and [`ShardedCdc::try_join_salvage`]
+    /// merges the surviving shards with the fallback instead of
+    /// failing. Salvage is best-effort: batches already handed to the
+    /// worker when it died (consumed or sitting in its queue) are lost,
+    /// so a dead lane's keys are generally *partial* in the salvaged
     /// profile. Keys routed to surviving lanes are unaffected and
     /// remain byte-identical to the non-degraded run.
     ///
@@ -461,21 +428,11 @@ impl<S: ShardableSink> ShardedCdc<S> {
     ///
     /// Panics if `shards` is zero or a thread cannot be spawned.
     #[must_use]
-    pub fn spawn_salvaging(omc: Omc, shards: usize, make_sink: impl FnMut(usize) -> S) -> Self {
-        Self::spawn_salvaging_with_sampler(omc, Sampler::off(), shards, make_sink)
-    }
-
-    /// [`ShardedCdc::spawn_salvaging`] with a sampling front-end (see
-    /// [`ShardedCdc::spawn_with_sampler`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a thread cannot be spawned.
-    #[must_use]
-    pub fn spawn_salvaging_with_sampler(
+    pub fn spawn(
         omc: Omc,
         sampler: Sampler,
         shards: usize,
+        salvage: bool,
         mut make_sink: impl FnMut(usize) -> S,
     ) -> Self {
         assert!(shards > 0, "at least one shard worker is required");
@@ -488,7 +445,7 @@ impl<S: ShardableSink> ShardedCdc<S> {
                 untracked: 0,
                 probe_anomalies: 0,
                 lane_stats: Vec::new(),
-                fallback: Some(make_sink(shards)),
+                fallback: salvage.then(|| make_sink(shards)),
             },
             Vec::new(),
             sinks,
@@ -685,9 +642,9 @@ impl<S: ShardableSink> ShardedCdc<S> {
         ))
     }
 
-    /// Joins a salvage-mode pipeline (see
-    /// [`ShardedCdc::spawn_salvaging`]): dead shard workers degrade the
-    /// run instead of forfeiting it. The surviving shards' sinks and
+    /// Joins a salvage-mode pipeline (see [`ShardedCdc::spawn`]): dead
+    /// shard workers degrade the run instead of forfeiting it. The
+    /// surviving shards' sinks and
     /// the translator's fallback sink merge into the salvaged profile;
     /// each dead worker's panic is reported in
     /// [`SalvagedJoin::degraded`] and its shard index in
@@ -985,7 +942,9 @@ mod tests {
         churn_run(&mut inline, 50, 40);
 
         for shards in [1, 2, 3, 8] {
-            let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| VecOrSink::new());
+            let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::off(), shards, false, |_| {
+                VecOrSink::new()
+            });
             churn_run(&mut sharded, 50, 40);
             let cdc = sharded.try_join().expect("pipeline healthy");
             assert_eq!(
@@ -1001,7 +960,8 @@ mod tests {
 
     #[test]
     fn pipeline_stats_account_for_every_routed_tuple() {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 3, |_| VecOrSink::new());
+        let mut sharded =
+            ShardedCdc::spawn(Omc::new(), Sampler::off(), 3, false, |_| VecOrSink::new());
         churn_run(&mut sharded, 50, 40);
         let (cdc, stats) = sharded.try_join_stats().expect("pipeline healthy");
         assert_eq!(stats.shards.len(), 3);
@@ -1033,7 +993,7 @@ mod tests {
                 Grenade
             }
         }
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 2, |_| Grenade);
+        let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::off(), 2, false, |_| Grenade);
         sharded.alloc(AllocEvent {
             site: AllocSiteId(0),
             base: RawAddress(0x100),
@@ -1103,7 +1063,7 @@ mod tests {
         wave(&mut inline);
         inline.finish();
 
-        let mut sharded = ShardedCdc::spawn_salvaging(Omc::new(), 2, |i| FusedVec {
+        let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::off(), 2, true, |i| FusedVec {
             armed: i == 1,
             inner: VecOrSink::new(),
         });
@@ -1154,11 +1114,13 @@ mod tests {
 
     #[test]
     fn salvage_mode_clean_run_matches_strict_join() {
-        let mut strict = ShardedCdc::spawn(Omc::new(), 3, |_| VecOrSink::new());
+        let mut strict =
+            ShardedCdc::spawn(Omc::new(), Sampler::off(), 3, false, |_| VecOrSink::new());
         churn_run(&mut strict, 50, 40);
         let reference = strict.try_join().expect("pipeline healthy");
 
-        let mut salvaging = ShardedCdc::spawn_salvaging(Omc::new(), 3, |_| VecOrSink::new());
+        let mut salvaging =
+            ShardedCdc::spawn(Omc::new(), Sampler::off(), 3, true, |_| VecOrSink::new());
         churn_run(&mut salvaging, 50, 40);
         let join = salvaging.try_join_salvage().expect("pipeline healthy");
         assert!(join.is_clean());
@@ -1170,7 +1132,8 @@ mod tests {
 
     #[test]
     fn drop_without_join_does_not_hang() {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 4, |_| VecOrSink::new());
+        let mut sharded =
+            ShardedCdc::spawn(Omc::new(), Sampler::off(), 4, false, |_| VecOrSink::new());
         sharded.access(AccessEvent::load(InstrId(0), RawAddress(0x100), 8));
         drop(sharded);
     }

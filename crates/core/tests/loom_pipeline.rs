@@ -24,7 +24,8 @@ use std::io::{self, Read, Write};
 
 use orp_core::sharded::{ShardableSink, ShardedCdc};
 use orp_core::{
-    Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, Session, SessionSink, Timestamp, VecOrSink,
+    Cdc, GroupId, ObjectSerial, Omc, OrSink, OrTuple, Sampler, Session, SessionSink, Timestamp,
+    VecOrSink,
 };
 use orp_format::{read_varint, write_varint, ProfileKind};
 use orp_trace::{
@@ -74,7 +75,8 @@ fn sharded_two_workers_match_inline_under_all_schedules() {
 
     let events = events.to_vec();
     loom::model(move || {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), 2, |_| VecOrSink::new());
+        let mut sharded =
+            ShardedCdc::spawn(Omc::new(), Sampler::off(), 2, false, |_| VecOrSink::new());
         drive(&mut sharded, &events);
         let cdc = sharded.try_join().expect("pipeline healthy");
         assert_eq!(
@@ -208,23 +210,4 @@ fn checkpoint_resume_sharded_finalize_is_byte_identical_under_all_schedules() {
         loom::explored_executions() > 1,
         "resumed pipeline must admit more than one schedule"
     );
-}
-
-#[test]
-fn threaded_collection_matches_inline_under_all_schedules() {
-    use orp_core::threaded::ThreadedCdc;
-
-    let mut inline = Cdc::new(Omc::new(), VecOrSink::new());
-    drive(&mut inline, &script());
-    let expected_tuples = inline.sink().tuples().to_vec();
-    let time = inline.time();
-
-    loom::model(move || {
-        let mut threaded = ThreadedCdc::spawn(Omc::new(), VecOrSink::new());
-        drive(&mut threaded, &script());
-        let cdc = threaded.try_join().expect("worker healthy");
-        assert_eq!(cdc.sink().tuples(), expected_tuples);
-        assert_eq!(cdc.time(), time);
-    });
-    assert!(loom::explored_executions() > 1);
 }

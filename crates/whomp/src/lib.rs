@@ -44,7 +44,6 @@ mod pipeline;
 mod session;
 
 pub use hybrid::{HybridProfile, HybridProfiler, InstrGrammars};
-pub use pipeline::{GrammarPipelineStats, GrammarStreamStats, PipelinedHybrid, PipelinedRasg};
 
 use std::cell::RefCell;
 
@@ -52,7 +51,7 @@ use orp_core::{OrSink, OrTuple};
 use orp_sequitur::{Grammar, Sequitur};
 use orp_trace::{AccessEvent, ProbeSink};
 
-use pipeline::Streams;
+use pipeline::{GrammarPipelineStats, Streams};
 
 /// The lossless object-relative profiler: one Sequitur compressor per
 /// horizontal dimension, built concurrently.
@@ -72,7 +71,7 @@ use pipeline::Streams;
 pub struct WhompProfiler {
     /// Behind a `RefCell` because the `&self` reads must drain the
     /// workers, which flushes the column batches.
-    dims: RefCell<Streams<4>>,
+    dims: RefCell<Streams>,
     tuples: u64,
 }
 
@@ -167,7 +166,7 @@ impl WhompProfiler {
     }
 
     pub(crate) fn try_into_omsg(self) -> std::io::Result<Omsg> {
-        let ([instr, group, object, offset], _) = self
+        let [instr, group, object, offset] = self
             .dims
             .into_inner()
             .into_grammars()

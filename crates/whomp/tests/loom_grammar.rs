@@ -22,8 +22,8 @@
 use orp_core::{GroupId, ObjectSerial, OrSink, OrTuple, SessionSink, Timestamp};
 use orp_format::write_varint;
 use orp_sequitur::Sequitur;
-use orp_trace::{AccessEvent, AccessKind, InstrId, ProbeSink, RawAddress};
-use orp_whomp::{Omsg, PipelinedRasg, RasgProfiler, WhompProfiler};
+use orp_trace::{AccessKind, InstrId};
+use orp_whomp::{Omsg, WhompProfiler};
 
 /// Three tuples: with the loom-sized column batch of 2, the model
 /// drains mid-batch after the first tuple, flushes a full batch on the
@@ -99,37 +99,4 @@ fn whomp_feed_drain_finish_finalize_matches_inline_under_all_schedules() {
         loom::explored_executions() > 1,
         "feeder and grammar worker must admit more than one schedule"
     );
-}
-
-#[test]
-fn rasg_worker_matches_sequential_under_all_schedules() {
-    let events: Vec<AccessEvent> = (0..3u64)
-        .map(|t| AccessEvent::load(InstrId((t % 2) as u32), RawAddress(0x100 + t * 8), 8))
-        .collect();
-
-    let mut sequential = RasgProfiler::new();
-    for &ev in &events {
-        sequential.access(ev);
-    }
-    let mut expected = Vec::new();
-    sequential
-        .into_rasg()
-        .write_to(&mut expected)
-        .expect("container bytes");
-
-    loom::model(move || {
-        let mut pipe = PipelinedRasg::spawn();
-        for &ev in &events {
-            pipe.access(ev);
-        }
-        pipe.finish();
-        let (profiler, _) = pipe.try_join().expect("pipeline healthy");
-        let mut produced = Vec::new();
-        profiler
-            .into_rasg()
-            .write_to(&mut produced)
-            .expect("container bytes");
-        assert_eq!(produced, expected);
-    });
-    assert!(loom::explored_executions() > 1);
 }

@@ -1,4 +1,4 @@
-//! Differential tests: the concurrent grammar profilers must produce
+//! Differential tests: the concurrent WHOMP profiler must produce
 //! byte-identical output to sequential construction — container bytes,
 //! checkpoint state, and across a checkpoint/resume. The WHOMP
 //! reference is four bare Sequiturs fed tuple by tuple, the inline
@@ -13,14 +13,11 @@ use orp_sequitur::Sequitur;
 use orp_trace::{
     AccessEvent, AccessKind, AllocEvent, AllocSiteId, InstrId, ProbeEvent, ProbeSink, RawAddress,
 };
-use orp_whomp::{
-    HybridProfiler, Omsg, PipelinedHybrid, PipelinedRasg, RasgProfiler, WhompProfiler,
-};
+use orp_whomp::{Omsg, WhompProfiler};
 use proptest::prelude::*;
 
-/// A probe script long enough to cross many batch boundaries (8192
-/// symbols for RASG and hybrid, 512 tuples for WHOMP) with repetitive
-/// structure the grammars actually compress.
+/// A probe script long enough to cross many 512-tuple batch boundaries,
+/// with repetitive structure the grammars actually compress.
 fn probe_events() -> Vec<ProbeEvent> {
     let mut events = Vec::new();
     for k in 0..64u64 {
@@ -113,52 +110,6 @@ fn default_whomp_omsg_bytes_match_inline_sequiturs() {
         assert_eq!(batches, 50, "25 600 tuples in 512-tuple batches ({dim})");
     }
     assert!(rec.counters().contains_key("grammar.workers"));
-}
-
-#[test]
-fn pipelined_rasg_bytes_match_sequential() {
-    let events = probe_events();
-
-    let mut inline = RasgProfiler::new();
-    drive(&mut inline, &events);
-    let mut reference = Vec::new();
-    inline.into_rasg().write_to(&mut reference).unwrap();
-
-    let mut pipe = PipelinedRasg::spawn();
-    drive(&mut pipe, &events);
-    let (profiler, stats) = pipe.try_join().expect("pipeline healthy");
-    let mut produced = Vec::new();
-    profiler.into_rasg().write_to(&mut produced).unwrap();
-    assert_eq!(produced, reference);
-
-    assert_eq!(stats.workers, 1);
-    assert_eq!(stats.streams[0].stream, "records");
-    assert_eq!(stats.streams[0].symbols, 25_600);
-}
-
-#[test]
-fn pipelined_hybrid_bytes_match_sequential() {
-    let events = probe_events();
-
-    let mut inline = Cdc::new(Omc::new(), HybridProfiler::new());
-    drive(&mut inline, &events);
-    let mut reference = Vec::new();
-    inline
-        .into_parts()
-        .1
-        .into_profile()
-        .write_to(&mut reference)
-        .unwrap();
-
-    for workers in [1, 2, 3] {
-        let mut cdc = Cdc::new(Omc::new(), PipelinedHybrid::spawn(workers));
-        drive(&mut cdc, &events);
-        let (profiler, stats) = cdc.into_parts().1.try_join().expect("pipeline healthy");
-        let mut produced = Vec::new();
-        profiler.into_profile().write_to(&mut produced).unwrap();
-        assert_eq!(produced, reference, "{workers} workers");
-        assert_eq!(stats.streams[0].symbols, 25_600);
-    }
 }
 
 fn arb_tuple_parts() -> impl Strategy<Value = (u8, u8, u8, u8)> {

@@ -106,7 +106,7 @@ fn grammar_counters_in_known_families_validate() {
             "    \"grammar.rules.offset\": 5,\n",
             "    \"grammar.symbols.records\": 120,\n",
             "    \"grammar.batches.instruction\": 9,\n",
-            "    \"grammar.stalls.instructions\": 0,\n",
+            "    \"grammar.stalls.object\": 0,\n",
             "    \"omc.memo_hits\": 40\n"
         ),
     );
@@ -120,6 +120,19 @@ fn grammar_counters_in_known_families_validate() {
     let file = temp_file("grammar-good.json", &with_span);
     let summary = xtask::validate_report(&file, &repo_schema()).expect("valid report");
     assert!(summary.contains("ok"), "{summary}");
+    let _ = std::fs::remove_file(file);
+
+    // Worker totals exist only per OMSG dimension; the record and
+    // instruction streams report grammar shape alone.
+    let bad = with_span.replace("grammar.stalls.object", "grammar.stalls.records");
+    let file = temp_file("grammar-bad.json", &bad);
+    let problems = xtask::validate_report(&file, &repo_schema()).expect_err("must fail");
+    assert!(
+        problems
+            .iter()
+            .any(|p| p.contains("grammar.stalls.records")),
+        "{problems:#?}"
+    );
     let _ = std::fs::remove_file(file);
 }
 

@@ -8,7 +8,7 @@
 //! orprof-cli run --from-trace gzip.orpt --profiler leap --out gzip.orp
 //! orprof-cli run --from-trace rest.orpt --resume ckpt.orp --profiler leap
 //! orprof-cli run --workload micro.matrix --profiler leap --shards 4
-//! orprof-cli run --workload micro.matrix --profiler hybrid --grammar-workers 4
+//! orprof-cli run --workload micro.matrix --profiler hybrid --shards 4 --salvage
 //! orprof-cli run --workload micro.matrix --profiler whomp --stats --metrics-out m.json
 //! orprof-cli record --workload 164.gzip --out gzip.orpt
 //! orprof-cli optimize --workload micro.linked-list --plan-out ll.plan.orp --stats
@@ -61,17 +61,14 @@ use orprof::orpd::{Daemon, DaemonConfig, OrpdStats};
 use orprof::phase::PhaseDetector;
 use orprof::sequitur::Grammar;
 use orprof::trace::{AccessEvent, AllocEvent, CountingSink, FreeEvent, ProbeSink};
-use orprof::whomp::{
-    HybridProfile, HybridProfiler, Omsg, PipelinedHybrid, PipelinedRasg, Rasg, RasgProfiler,
-    WhompProfiler,
-};
+use orprof::whomp::{HybridProfile, HybridProfiler, Omsg, Rasg, RasgProfiler, WhompProfiler};
 use orprof::workloads::{micro_suite, spec_suite, RunConfig, Tracer, Workload};
 
 fn usage() -> &'static str {
     "usage:\n  orprof-cli list\n  orprof-cli run (--workload <name> | --from-trace <file>) \
      --profiler <whomp|rasg|leap|hybrid> [--out <file>] [--scale <n>] \
      [--allocator <bump|free-list|buddy|randomizing>] [--seed <n>] [--shards <n>] [--salvage] \
-     [--grammar-workers <n>] [--resume <checkpoint.orp>] [--checkpoint <file>] \
+     [--resume <checkpoint.orp>] [--checkpoint <file>] \
      [--sample rate=<n>|budget=<p>%|reservoir=<k>] \
      [--stats] [--metrics-out <file.json>] [--embed-report] [--fault-plan <spec>]\n  \
      orprof-cli record --workload <name> --out <file> [--scale <n>] [--allocator ..] [--seed <n>] \
@@ -163,7 +160,6 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
         "--allocator",
         "--seed",
         "--shards",
-        "--grammar-workers",
         "--resume",
         "--checkpoint",
         "--sample",
@@ -742,19 +738,7 @@ fn run_sharded<S: SessionSink + ShardableSink>(
     sampler: Sampler,
     mut fresh: impl FnMut(usize) -> S,
 ) -> Result<(Session<S>, DriveOutcome, PipelineStats), String> {
-    if parsed.value("--checkpoint").is_some() {
-        // The merged session restarts its event counter, so a
-        // checkpoint taken here could not resume seamlessly.
-        return Err(
-            "--checkpoint requires a single-shard run (omit --shards/--salvage)".to_owned(),
-        );
-    }
     let salvage = parsed.has("--salvage");
-    if salvage && parsed.value("--resume").is_some() {
-        // A degraded run's keys are partial; resuming into salvage
-        // would compound best-effort state into a checkpointed one.
-        return Err("--salvage cannot be combined with --resume".to_owned());
-    }
     let mut pipe = match parsed.value("--resume") {
         Some(path) => {
             let mut reader = ctx.open_reader(path)?;
@@ -764,10 +748,7 @@ fn run_sharded<S: SessionSink + ShardableSink>(
             println!("resumed from checkpoint {path}");
             pipe
         }
-        None if salvage => {
-            ShardedCdc::spawn_salvaging_with_sampler(Omc::new(), sampler, shards, &mut fresh)
-        }
-        None => ShardedCdc::spawn_with_sampler(Omc::new(), sampler, shards, &mut fresh),
+        None => ShardedCdc::spawn(Omc::new(), sampler, shards, salvage, &mut fresh),
     };
     let outcome = drive(parsed, ctx, &mut pipe)?;
     if salvage {
@@ -798,7 +779,7 @@ fn run_maybe_sharded<S: SessionSink + ShardableSink>(
         let (session, outcome, controller) = run_session(parsed, ctx, sample, || fresh(0))?;
         Ok((session, outcome, None, controller))
     } else {
-        // Budget mode is single-shard only (rejected in `cmd_run`), so
+        // Budget mode is single-shard only (see `validate_run`), so
         // the sharded pipeline only ever sees off/fixed-rate samplers.
         run_sharded(parsed, ctx, shards, sampler_for(sample), fresh)
             .map(|(s, o, p)| (s, o, Some(p), None))
@@ -904,50 +885,87 @@ fn derive_ratios(report: &mut RunReport) {
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let parsed = parse_flags(args, &RUN_FLAGS)?;
-    let clock = Stopwatch::start();
-    let mut ctx = IoCtx::from_flags(&parsed)?;
-    let profiler = parsed.value("--profiler").unwrap_or("leap").to_owned();
-    let out = parsed.value("--out").map(str::to_owned);
-    if parsed.has("--embed-report") && out.is_none() {
+/// The most shard workers `run --shards` starts. Every shard is an OS
+/// thread, so a larger value is refused instead of exhausting threads.
+const MAX_SHARDS: usize = 256;
+
+/// The profilers `run` can collect with.
+#[derive(Clone, Copy)]
+enum Profiler {
+    Leap,
+    Whomp,
+    Hybrid,
+    Rasg,
+}
+
+/// A `run` command line [`validate_run`] accepted.
+struct RunPlan {
+    profiler: Profiler,
+    shards: usize,
+    sample: Option<SampleSpec>,
+}
+
+/// Checks a `run` command line and refuses every flag combination the
+/// collection pipeline cannot honor. Every `run` refusal lives here,
+/// and it runs before any workload, trace or checkpoint is opened.
+fn validate_run(parsed: &Parsed) -> Result<RunPlan, String> {
+    if parsed.value("--workload").is_none() && parsed.value("--from-trace").is_none() {
+        return Err("missing --workload or --from-trace".to_owned());
+    }
+    if parsed.has("--embed-report") && parsed.value("--out").is_none() {
         return Err("--embed-report requires --out".to_owned());
     }
+    let profiler = match parsed.value("--profiler").unwrap_or("leap") {
+        "leap" => Profiler::Leap,
+        "whomp" => Profiler::Whomp,
+        "hybrid" => Profiler::Hybrid,
+        "rasg" => Profiler::Rasg,
+        other => return Err(format!("unknown profiler {other}")),
+    };
     let shards: usize = match parsed.value("--shards") {
-        Some(s) => {
-            let n = s.parse().map_err(|_| "bad --shards")?;
-            if n == 0 {
-                return Err("--shards must be at least 1".to_owned());
-            }
-            n
-        }
+        Some(s) => s.parse().map_err(|_| "bad --shards")?,
         None => 1,
     };
-    let no_shards = |name: &str| -> Result<(), String> {
-        if shards > 1 {
-            return Err(format!(
-                "{name} cannot run sharded; --shards applies to leap and hybrid"
-            ));
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(format!("--shards must be between 1 and {MAX_SHARDS}"));
+    }
+    let sample = parse_sample(parsed)?;
+    let salvage = parsed.has("--salvage");
+    let resume = parsed.value("--resume").is_some();
+    let checkpoint = parsed.value("--checkpoint").is_some();
+    // Salvage lives in the sharded pipeline's translator, so a
+    // `--salvage` run is sharded even at one shard.
+    let sharded = shards > 1 || salvage;
+    match profiler {
+        Profiler::Whomp if sharded => {
+            return Err("whomp's global grammars cannot run sharded; --shards and \
+                        --salvage apply to leap and hybrid (whomp sizes its own \
+                        grammar workers)"
+                .to_owned());
         }
-        Ok(())
-    };
-    // rasg and hybrid: 0 = build grammars inline on the collection
-    // thread (the default); N > 0 moves construction onto N pipelined
-    // grammar workers. whomp always builds its dimension grammars
-    // concurrently (see DESIGN.md §13).
-    let grammar_workers: usize = match parsed.value("--grammar-workers") {
-        Some(s) => s.parse().map_err(|_| "bad --grammar-workers")?,
-        None => 0,
-    };
-    let sample = parse_sample(&parsed)?;
-    if sample.is_some() && parsed.value("--resume").is_some() {
+        Profiler::Rasg if sharded => {
+            return Err("rasg profiles raw addresses and cannot run sharded; \
+                        --shards and --salvage apply to leap and hybrid"
+                .to_owned());
+        }
+        Profiler::Rasg if sample.is_some() => {
+            return Err("rasg profiles raw addresses before translation; --sample \
+                        filters translated accesses and applies to leap, whomp, hybrid"
+                .to_owned());
+        }
+        Profiler::Rasg if resume || checkpoint => {
+            return Err("rasg profiles raw addresses; checkpoints apply to the \
+                        object-relative profilers (leap, whomp, hybrid)"
+                .to_owned());
+        }
+        _ => {}
+    }
+    if sample.is_some() && resume {
         // A sampled checkpoint carries its own admission state; letting
         // a fresh flag override it would fork the admission sequence.
-        return Err(
-            "--sample cannot be combined with --resume; the checkpoint's \
-                    sampler state governs a resumed run"
-                .to_owned(),
-        );
+        return Err("--sample cannot be combined with --resume; the \
+                    checkpoint's sampler state governs a resumed run"
+            .to_owned());
     }
     if matches!(sample, Some(SampleSpec::Budget(_))) {
         // The controller calibrates against a native re-run of the
@@ -958,32 +976,51 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                         (the native baseline pre-pass re-runs it)"
                 .to_owned());
         }
-        if shards > 1 || parsed.has("--salvage") {
+        if sharded {
             return Err("--sample budget= requires a single-shard run \
                         (omit --shards/--salvage, or use rate=)"
                 .to_owned());
         }
-        if grammar_workers > 0 {
-            return Err("--sample budget= requires inline grammar construction \
-                        (omit --grammar-workers, or use rate=)"
-                .to_owned());
-        }
     }
+    if sharded && checkpoint {
+        // The merged session restarts its event counter, so a
+        // checkpoint taken here could not resume seamlessly.
+        return Err(
+            "--checkpoint requires a single-shard run (omit --shards/--salvage)".to_owned(),
+        );
+    }
+    if salvage && resume {
+        // A degraded run's keys are partial; resuming into salvage
+        // would compound best-effort state into a checkpointed one.
+        return Err("--salvage cannot be combined with --resume".to_owned());
+    }
+    Ok(RunPlan {
+        profiler,
+        shards,
+        sample,
+    })
+}
+
+fn cmd_run(args: &[String]) -> Result<(), String> {
+    let parsed = parse_flags(args, &RUN_FLAGS)?;
+    let RunPlan {
+        profiler,
+        shards,
+        sample,
+    } = validate_run(&parsed)?;
+    let clock = Stopwatch::start();
+    let mut ctx = IoCtx::from_flags(&parsed)?;
+    let out = parsed.value("--out").map(str::to_owned);
     let mut controller: Option<RateController> = None;
 
     let mut rec = StatsRecorder::default();
     let mut report = RunReport::new("run");
     report.workload = parsed.value("--workload").map(str::to_owned);
-    report.profiler = Some(profiler.clone());
+    report.profiler = Some(parsed.value("--profiler").unwrap_or("leap").to_owned());
     report.shards = shards as u64;
 
-    let profile_bytes = match profiler.as_str() {
-        "leap" | "whomp" if grammar_workers > 0 => {
-            return Err("--grammar-workers applies to rasg and hybrid; leap builds \
-                        no grammars and whomp sizes its own grammar workers"
-                .to_owned());
-        }
-        "leap" => {
+    let profile_bytes = match profiler {
+        Profiler::Leap => {
             let (session, outcome, pstats, ctrl) =
                 run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| LeapProfiler::new())?;
             controller = ctrl;
@@ -1010,8 +1047,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             profile.record_metrics(&mut rec);
             serialize_profile(|w| profile.write_to(w))?
         }
-        "whomp" => {
-            no_shards("whomp's global grammars")?;
+        Profiler::Whomp => {
             let (session, outcome, ctrl) =
                 run_session(&parsed, &mut ctx, sample, WhompProfiler::new)?;
             controller = ctrl;
@@ -1030,45 +1066,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             omsg.record_metrics(&mut rec);
             serialize_profile(|w| omsg.write_to(w))?
         }
-        "hybrid" => {
-            let profiler = if grammar_workers > 0 {
-                if shards > 1 || parsed.has("--salvage") {
-                    return Err("--grammar-workers and --shards/--salvage both thread the \
-                                hybrid profiler; pick one pipeline"
-                        .to_owned());
-                }
-                if parsed.value("--resume").is_some() || parsed.value("--checkpoint").is_some() {
-                    return Err("hybrid --grammar-workers cannot checkpoint or resume; \
-                                use a sequential run for checkpointed sessions"
-                        .to_owned());
-                }
-                let mut cdc = Cdc::with_sampler(
-                    Omc::new(),
-                    PipelinedHybrid::spawn(grammar_workers),
-                    sampler_for(sample),
-                );
-                let outcome = drive(&parsed, &mut ctx, &mut cdc)?;
-                cdc.record_metrics(&mut rec);
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                let (profiler, gstats) =
-                    cdc.into_parts().1.try_join().map_err(|e| e.to_string())?;
-                gstats.record_metrics(&mut rec);
-                profiler
-            } else {
-                let (session, outcome, pstats, ctrl) =
-                    run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| {
-                        HybridProfiler::new()
-                    })?;
-                controller = ctrl;
-                session.record_metrics(&mut rec);
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                if let Some(p) = &pstats {
-                    absorb_pipeline(&mut rec, &mut report, p);
-                }
-                session.into_cdc().into_parts().1
-            };
+        Profiler::Hybrid => {
+            let (session, outcome, pstats, ctrl) =
+                run_maybe_sharded(&parsed, &mut ctx, shards, sample, |_| HybridProfiler::new())?;
+            controller = ctrl;
+            session.record_metrics(&mut rec);
+            report.events = outcome.events;
+            absorb_trace_io(&mut rec, &outcome);
+            if let Some(p) = &pstats {
+                absorb_pipeline(&mut rec, &mut report, p);
+            }
+            let profiler = session.into_cdc().into_parts().1;
             profiler.record_grammar_metrics(&mut rec);
             let profile = profiler.into_profile();
             println!(
@@ -1080,35 +1088,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             profile.record_metrics(&mut rec);
             serialize_profile(|w| profile.write_to(w))?
         }
-        "rasg" => {
-            no_shards("rasg profiles raw addresses and")?;
-            if sample.is_some() {
-                return Err("rasg profiles raw addresses before translation; --sample \
-                            filters translated accesses and applies to leap, whomp, hybrid"
-                    .to_owned());
-            }
-            if parsed.value("--resume").is_some() || parsed.value("--checkpoint").is_some() {
-                return Err("rasg profiles raw addresses; checkpoints apply to the \
-                            object-relative profilers (leap, whomp, hybrid)"
-                    .to_owned());
-            }
-            let profiler = if grammar_workers > 0 {
-                // The RASG record stream is one grammar; extra workers
-                // would idle, so the pipeline always spawns exactly one.
-                let mut pipe = PipelinedRasg::spawn();
-                let outcome = drive(&parsed, &mut ctx, &mut pipe)?;
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                let (profiler, gstats) = pipe.try_join().map_err(|e| e.to_string())?;
-                gstats.record_metrics(&mut rec);
-                profiler
-            } else {
-                let mut p = RasgProfiler::new();
-                let outcome = drive(&parsed, &mut ctx, &mut p)?;
-                report.events = outcome.events;
-                absorb_trace_io(&mut rec, &outcome);
-                p
-            };
+        Profiler::Rasg => {
+            let mut profiler = RasgProfiler::new();
+            let outcome = drive(&parsed, &mut ctx, &mut profiler)?;
+            report.events = outcome.events;
+            absorb_trace_io(&mut rec, &outcome);
             profiler.record_grammar_metrics(&mut rec);
             let rasg = profiler.into_rasg();
             println!(
@@ -1120,7 +1104,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             rasg.record_metrics(&mut rec);
             serialize_profile(|w| rasg.write_to(w))?
         }
-        other => return Err(format!("unknown profiler {other}")),
     };
 
     rec.counter("profile.bytes", profile_bytes.len() as u64);

@@ -556,10 +556,10 @@ fn inspect_rejects_garbage_files() {
 
 #[test]
 fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
-    let seq = tmp("grammar-seq.orp");
-    let pipe = tmp("grammar-pipe.orp");
-    let json = tmp("grammar-pipe.json");
-    for (out_path, extra) in [(&seq, &[][..]), (&pipe, &["--grammar-workers", "4"][..])] {
+    // Hybrid grammars parallelize by sharding: inline and 4-shard runs
+    // write the same bytes, sampled or not.
+    let run_hybrid = |name: &str, extra: &[&str]| {
+        let path = tmp(name);
         let out = cli()
             .args([
                 "run",
@@ -568,25 +568,37 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
                 "--profiler",
                 "hybrid",
                 "--out",
-                out_path.to_str().unwrap(),
+                path.to_str().unwrap(),
             ])
             .args(extra)
             .output()
             .expect("spawn");
         assert!(
             out.status.success(),
-            "{}",
+            "{extra:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-    }
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        bytes
+    };
     assert_eq!(
-        std::fs::read(&seq).unwrap(),
-        std::fs::read(&pipe).unwrap(),
-        "pipelined grammar construction must not change the profile"
+        run_hybrid("hybrid-inline.orp", &[]),
+        run_hybrid("hybrid-sharded.orp", &["--shards", "4"]),
+        "sharded hybrid collection must not change the profile"
+    );
+    assert_eq!(
+        run_hybrid("hybrid-inline-sampled.orp", &["--sample", "rate=4"]),
+        run_hybrid(
+            "hybrid-sharded-sampled.orp",
+            &["--shards", "4", "--sample", "rate=4"]
+        ),
+        "sharded hybrid collection must not change the sampled profile"
     );
 
     // WHOMP builds its dimension grammars concurrently by default and
     // reports every dimension, the collection-thread offset included.
+    let json = tmp("whomp-grammar.json");
     let out = cli()
         .args([
             "run",
@@ -617,9 +629,7 @@ fn grammar_workers_run_is_byte_identical_and_reports_worker_metrics() {
     ] {
         assert!(doc.contains(key), "{key} missing: {doc}");
     }
-    for p in [&seq, &pipe, &json] {
-        let _ = std::fs::remove_file(p);
-    }
+    let _ = std::fs::remove_file(json);
 }
 
 #[test]
@@ -677,43 +687,84 @@ fn whomp_checkpoints_and_resumes_while_concurrent() {
     }
 }
 
+/// One row per refusal `run` emits, each with the message it must
+/// carry. The `--resume` and `--from-trace` paths do not exist, so a
+/// row only passes if the flags are refused before anything is opened.
 #[test]
-fn grammar_workers_rejects_incompatible_flag_combinations() {
-    for args in [
-        &["--profiler", "leap", "--grammar-workers", "2"][..],
-        &["--profiler", "whomp", "--grammar-workers", "2"][..],
-        &[
-            "--profiler",
-            "hybrid",
-            "--grammar-workers",
-            "2",
-            "--shards",
-            "2",
-        ][..],
-        &[
-            "--profiler",
-            "hybrid",
-            "--grammar-workers",
-            "2",
-            "--resume",
-            "x.orp",
-        ][..],
-    ] {
-        let out = cli()
-            .args(["run", "--workload", "micro.matrix"])
-            .args(args)
-            .output()
-            .expect("spawn");
-        assert!(!out.status.success(), "should reject: {args:?}");
+fn run_refuses_incompatible_flags_before_opening_anything() {
+    const W: &str = "--workload";
+    const M: &str = "micro.matrix";
+    const P: &str = "--profiler";
+    let ckpt = tmp("refused-checkpoint.orp");
+    let ckpt = ckpt.to_str().unwrap();
+    let rows: &[(&[&str], &str)] = &[
+        (&[P, "leap"], "missing --workload or --from-trace"),
+        (&[W, M, "--embed-report"], "--embed-report requires --out"),
+        (&[W, M, P, "lzw"], "unknown profiler lzw"),
+        (&[W, M, "--shards", "many"], "bad --shards"),
+        (
+            &[W, M, "--shards", "0"],
+            "--shards must be between 1 and 256",
+        ),
+        // MAX_SHARDS + 1: refused at parse time, no thread is started.
+        (
+            &[W, M, "--shards", "257"],
+            "--shards must be between 1 and 256",
+        ),
+        (&[W, M, "--sample", "sideways"], "--sample expects"),
+        (
+            &[W, M, P, "whomp", "--shards", "2"],
+            "whomp's global grammars",
+        ),
+        (&[W, M, P, "whomp", "--salvage"], "whomp's global grammars"),
+        (
+            &[W, M, P, "rasg", "--shards", "2"],
+            "rasg profiles raw addresses and",
+        ),
+        (
+            &[W, M, P, "rasg", "--salvage"],
+            "rasg profiles raw addresses and",
+        ),
+        (&[W, M, P, "rasg", "--sample", "rate=4"], "--sample filters"),
+        (
+            &[W, M, P, "rasg", "--checkpoint", ckpt],
+            "checkpoints apply",
+        ),
+        (
+            &[W, M, "--sample", "rate=4", "--resume", "absent.orp"],
+            "--sample cannot be combined with --resume",
+        ),
+        (
+            &["--from-trace", "absent.orpt", "--sample", "budget=10%"],
+            "requires a live --workload run",
+        ),
+        (
+            &[W, M, "--sample", "budget=10%", "--shards", "2"],
+            "--sample budget= requires a single-shard run",
+        ),
+        (
+            &[W, M, P, "hybrid", "--shards", "2", "--checkpoint", ckpt],
+            "--checkpoint requires a single-shard run",
+        ),
+        (
+            &[W, M, "--salvage", "--resume", "absent.orp"],
+            "--salvage cannot be combined with --resume",
+        ),
+    ];
+    for (args, message) in rows {
+        let out = cli().arg("run").args(*args).output().expect("spawn");
+        assert!(!out.status.success(), "should refuse: {args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("error:"), "{err}");
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before refusing");
     }
+    assert!(!std::path::Path::new(ckpt).exists());
 }
 
 #[test]
 fn sequential_grammar_runs_also_report_grammar_shape() {
     // The grammar.rules/grammar.symbols families are profiler facts,
-    // not pipeline facts: they must appear without --grammar-workers.
+    // not worker facts: inline rasg reports them too.
     let json = tmp("grammar-shape.json");
     let out = cli()
         .args([

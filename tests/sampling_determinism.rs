@@ -1,9 +1,8 @@
 //! Integration: the sampling front-end is deterministic — a fixed-rate
 //! sampled run produces byte-identical profiles no matter how it was
-//! collected (inline, threaded, sharded, or split across a
-//! checkpoint/resume), and rate 1 is exactly lossless.
+//! collected (inline, sharded, or split across a checkpoint/resume),
+//! and rate 1 is exactly lossless.
 
-use orprof::core::threaded::ThreadedCdc;
 use orprof::core::{Cdc, Omc, Sampler, Session, ShardedCdc, VecOrSink};
 use orprof::leap::LeapProfiler;
 use orprof::trace::{
@@ -76,18 +75,9 @@ fn fixed_rate_profiles_are_byte_identical_across_collection_paths() {
     );
     let reference = leap_bytes(inline);
 
-    let mut threaded =
-        ThreadedCdc::spawn_sampled(Omc::new(), LeapProfiler::new(), Sampler::periodic(RATE));
-    feed(&mut threaded, &events);
-    assert_eq!(
-        leap_bytes(threaded.join()),
-        reference,
-        "threaded collection diverged from inline at rate {RATE}"
-    );
-
     for shards in [1, 2, 4] {
         let mut sharded =
-            ShardedCdc::spawn_with_sampler(Omc::new(), Sampler::periodic(RATE), shards, |_| {
+            ShardedCdc::spawn(Omc::new(), Sampler::periodic(RATE), shards, false, |_| {
                 LeapProfiler::new()
             });
         feed(&mut sharded, &events);
@@ -231,8 +221,9 @@ fn reservoir_sampling_is_deterministic_across_paths() {
     let mut inline = Cdc::with_sampler(Omc::new(), VecOrSink::new(), Sampler::reservoir(8));
     feed(&mut inline, &events);
 
-    let mut sharded =
-        ShardedCdc::spawn_with_sampler(Omc::new(), Sampler::reservoir(8), 3, |_| VecOrSink::new());
+    let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::reservoir(8), 3, false, |_| {
+        VecOrSink::new()
+    });
     feed(&mut sharded, &events);
     let merged = sharded.try_join().expect("pipeline healthy");
 

@@ -3,7 +3,7 @@
 //! contract that makes sharding a pure throughput change.
 
 use orprof::core::sharded::ShardedCdc;
-use orprof::core::{Cdc, Omc, OrSink, OrTuple, ShardableSink, VecOrSink};
+use orprof::core::{Cdc, Omc, OrSink, OrTuple, Sampler, ShardableSink, VecOrSink};
 use orprof::leap::LeapProfiler;
 use orprof::trace::{AccessEvent, AllocEvent, AllocSiteId, InstrId, ProbeSink, RawAddress};
 use orprof::whomp::HybridProfiler;
@@ -31,7 +31,9 @@ fn sharded_tuple_stream_is_identical_to_inline() {
     assert!(!inline.sink().is_empty());
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| VecOrSink::new());
+        let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::off(), shards, false, |_| {
+            VecOrSink::new()
+        });
         drive(&mut sharded);
         let cdc = sharded.try_join().expect("pipeline healthy");
         assert_eq!(
@@ -63,7 +65,9 @@ fn sharded_leap_profile_serializes_to_identical_bytes() {
     assert!(!reference.is_empty());
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| LeapProfiler::new());
+        let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::off(), shards, false, |_| {
+            LeapProfiler::new()
+        });
         drive(&mut sharded);
         let profile = sharded
             .try_join()
@@ -154,11 +158,12 @@ fn salvaged_counter_survives_a_dying_fallback_sink() {
     inline.finish();
 
     let shards = 2;
-    let mut sharded = ShardedCdc::spawn_salvaging(Omc::new(), shards, |i| SalvageChain {
-        armed: i == 1,
-        fuse: (i == shards).then_some(BATCH + BATCH / 2),
-        inner: VecOrSink::new(),
-    });
+    let mut sharded =
+        ShardedCdc::spawn(Omc::new(), Sampler::off(), shards, true, |i| SalvageChain {
+            armed: i == 1,
+            fuse: (i == shards).then_some(BATCH + BATCH / 2),
+            inner: VecOrSink::new(),
+        });
     sharded.alloc(alloc);
     wave(&mut sharded);
     // Ship wave 1, then give shard 1's worker time to receive its first
@@ -211,7 +216,9 @@ fn sharded_hybrid_profile_has_identical_grammars() {
     let reference = inline.into_parts().1.into_profile();
 
     for shards in SHARD_COUNTS {
-        let mut sharded = ShardedCdc::spawn(Omc::new(), shards, |_| HybridProfiler::new());
+        let mut sharded = ShardedCdc::spawn(Omc::new(), Sampler::off(), shards, false, |_| {
+            HybridProfiler::new()
+        });
         drive(&mut sharded);
         let profile = sharded
             .try_join()
